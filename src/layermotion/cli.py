@@ -24,7 +24,7 @@ import numpy as np
 
 from . import imgio
 from .dataset import Dataset, load_dataset, write_dataset
-from .errors import ConfigError, EngineError, MissingArtifactError, NumericalError
+from .errors import ConfigError, DataError, EngineError, MissingArtifactError, NumericalError
 from .evalkit import EvalReport, analyze_pseudo_masks, evaluate
 from .fields import init_params, load_checkpoint, save_checkpoint
 from .renderer import render_frame
@@ -509,6 +509,9 @@ def main(argv=None) -> int:
         return 2
     except MissingArtifactError as e:
         print(f"missing artifact: {e}", file=sys.stderr)
+        return 3
+    except DataError as e:
+        print(f"bad artifact: {e}", file=sys.stderr)
         return 3
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

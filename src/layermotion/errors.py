@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the engine.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, MissingArtifactError -> 3,
-NumericalError (and subclasses) -> 4, anything else -> 1.
+Exit-code mapping used by the CLI: ConfigError -> 2, MissingArtifactError and
+DataError -> 3, NumericalError (and subclasses) -> 4, anything else -> 1.
 """
 
 

@@ -29,6 +29,7 @@ view-independent; direction arguments are accepted for interface stability.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -356,13 +357,21 @@ def _gather(grid: np.ndarray, flat_idx: np.ndarray, w: np.ndarray) -> np.ndarray
 
 
 def _scatter(shape, flat_idx: np.ndarray, w: np.ndarray, dvals: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_gather`; returns a dense gradient array of `shape`."""
+    """Adjoint of :func:`_gather`; returns a dense gradient array of `shape`.
+
+    One ordered segment sum (`np.bincount`) per channel over the flattened
+    corner indices. Terms are laid out corner-major (all points' corner 0,
+    then corner 1, ...), so every cell adds its terms in the same order as
+    eight sequential unbuffered scatter-adds would.
+    """
     res3 = shape[0] * shape[1] * shape[2]
-    c = int(np.prod(shape[3:])) if len(shape) > 3 else 1
+    c = int(np.prod(shape[3:]))
     dv = dvals.reshape(dvals.shape[0], c)
-    out = np.zeros((res3, c))
-    for o in range(8):
-        np.add.at(out, flat_idx[:, o], w[:, o, None] * dv)
+    idx = flat_idx.T.ravel()
+    wt = np.ascontiguousarray(w.T)  # (8, B)
+    out = np.empty((res3, c))
+    for ch in range(c):
+        out[:, ch] = np.bincount(idx, weights=(wt * dv[:, ch]).ravel(), minlength=res3)
     return out.reshape(shape)
 
 
@@ -508,10 +517,18 @@ def backward_eval_layers(
     d_sigma: np.ndarray,
     d_color: np.ndarray,
     d_beta: np.ndarray,
+    wrt=BLOCK_NAMES,
 ) -> dict[str, np.ndarray]:
-    """Exact adjoint of :func:`eval_layers_batch` for all parameter blocks."""
+    """Exact adjoint of :func:`eval_layers_batch` for the blocks named in `wrt`.
+
+    Returns gradients for exactly those blocks (default: every block). The
+    work that only feeds other blocks is skipped; e.g. without the static
+    blocks neither the `st_grid` nor the `phi0` scatter runs. A returned
+    gradient does not depend on which other blocks were requested.
+    """
     cfg = params.config
     b = params.blocks
+    want = set(wrt)
     dpre_sig = d_sigma * cache.dsig
     dpre_col = d_color * cache.dcol
     dpre_bet = d_beta * cache.dbet
@@ -522,38 +539,50 @@ def backward_eval_layers(
     dpre_st, dpre_ss, dpre_dy = dpre[:, 0], dpre[:, 1], dpre[:, 2]
 
     grads: dict[str, np.ndarray] = {}
-    grads["st_grid"] = _scatter(b["st_grid"].shape, cache.widx, cache.ww, dpre_st)
-    grads["st_head"] = dpre_st.T @ cache.phi0
-    grads["ss_head"] = dpre_ss.T @ cache.phi0
-    dphi0 = dpre_st @ b["st_head"] + dpre_ss @ b["ss_head"]
-    grads["phi0"] = _scatter(b["phi0"].shape, cache.widx, cache.ww, dphi0)
+    if "st_grid" in want:
+        grads["st_grid"] = _scatter(b["st_grid"].shape, cache.widx, cache.ww, dpre_st)
+    if "st_head" in want:
+        grads["st_head"] = dpre_st.T @ cache.phi0
+    if "ss_head" in want:
+        grads["ss_head"] = dpre_ss.T @ cache.phi0
+    if "phi0" in want:
+        dphi0 = dpre_st @ b["st_head"] + dpre_ss @ b["ss_head"]
+        grads["phi0"] = _scatter(b["phi0"].shape, cache.widx, cache.ww, dphi0)
 
-    dg_ss = cache.a_ss[:, :, None] * dpre_ss[:, None, :]  # (B, K, 5)
-    grads["ss_grids"] = _scatter(b["ss_grids"].shape, cache.sidx, cache.sw, dg_ss)
-    da_ss = np.einsum("bkc,bc->bk", cache.g_ss, dpre_ss)
-    grads["ss_zmap_w"] = da_ss.T @ cache.z_ss
-    grads["ss_zmap_b"] = da_ss.sum(axis=0)
-    dz_ss = da_ss @ b["ss_zmap_w"]
-
-    dg_dy = cache.a_dy[:, :, None] * dpre_dy[:, None, :]
-    grads["dy_grids"] = _scatter(b["dy_grids"].shape, cache.didx, cache.dw, dg_dy)
-    da_dy = np.einsum("bkc,bc->bk", cache.g_dy, dpre_dy)
-    grads["dy_zmap_w"] = da_dy.T @ cache.z_dy
-    grads["dy_zmap_b"] = da_dy.sum(axis=0)
-    dz_dy = da_dy @ b["dy_zmap_w"]
-
-    for which, dz in (("ss", dz_ss), ("dy", dz_dy)):
+    layers = (
+        ("ss", dpre_ss, cache.sidx, cache.sw, cache.g_ss, cache.a_ss, cache.z_ss),
+        ("dy", dpre_dy, cache.didx, cache.dw, cache.g_dy, cache.a_dy, cache.z_dy),
+    )
+    for which, dpre_l, idx, w, g, a, z in layers:
+        grid, zmap_w, zmap_b, code = (
+            f"{which}_grids", f"{which}_zmap_w", f"{which}_zmap_b", f"code_{which}"
+        )
+        if grid in want:
+            dg = a[:, :, None] * dpre_l[:, None, :]  # (B, K, 5)
+            grads[grid] = _scatter(b[grid].shape, idx, w, dg)
+        if want.isdisjoint((zmap_w, zmap_b, code)):
+            continue
+        da = np.einsum("bkc,bc->bk", g, dpre_l)
+        if zmap_w in want:
+            grads[zmap_w] = da.T @ z
+        if zmap_b in want:
+            grads[zmap_b] = da.sum(axis=0)
+        if code not in want:
+            continue
+        dz = da @ b[zmap_w]
         fixed = params.code_fixed_factor(which)
-        name = f"code_{which}"
         if cfg.learn_basis:
             # z = fixed[t] @ learned -> dL/dlearned = fixed[t]^T dz
-            grads[name] = fixed[cache.t_idx].T @ dz
+            grads[code] = fixed[cache.t_idx].T @ dz
         else:
-            # z = learned[t] @ fixed -> accumulate dz @ fixed^T into row t
+            # z = learned[t] @ fixed -> accumulate dz @ fixed^T into row t,
+            # one ordered segment sum per code column
             rows = dz @ fixed.T  # (B, P)
-            acc = np.zeros_like(b[name])
-            np.add.at(acc, cache.t_idx, rows)
-            grads[name] = acc
+            n_t, n_p = b[code].shape
+            acc = np.empty((n_t, n_p))
+            for p in range(n_p):
+                acc[:, p] = np.bincount(cache.t_idx, weights=rows[:, p], minlength=n_t)
+            grads[code] = acc
     return grads
 
 
@@ -618,16 +647,29 @@ def load_checkpoint(path):
         cfg_d[key] = tuple(cfg_d[key])
     config = FieldConfig(**cfg_d)
     blocks: dict[str, np.ndarray] = {}
+    size = path.stat().st_size
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+
+        def read(n: int, what: str) -> bytes:
+            # Checked against the file size first, so a corrupt shape can
+            # never make us allocate more than the file holds.
+            if n > size - fh.tell():
+                raise DataError(f"{path}: truncated checkpoint, {what} is cut short")
+            return fh.read(n)
+
+        if read(4, "the magic") != _MAGIC:
             raise DataError(f"{path}: bad magic, not an LMF1 checkpoint")
-        (n_blocks,) = struct.unpack("<I", fh.read(4))
+        (n_blocks,) = struct.unpack("<I", read(4, "the block count"))
         for _ in range(n_blocks):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("ascii")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-            blocks[name] = data.astype(np.float64)
+            (name_len,) = struct.unpack("<H", read(2, "a block name length"))
+            raw_name = read(name_len, "a block name")
+            if not raw_name.isascii():
+                raise DataError(f"{path}: block name {raw_name!r} is not ASCII")
+            name = raw_name.decode("ascii")
+            (ndim,) = struct.unpack("<B", read(1, f"the rank of '{name}'"))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"the shape of '{name}'"))
+            data = read(8 * math.prod(shape), f"the data of '{name}'")
+            blocks[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after the last block")
     return LayeredFieldParams(config, blocks), sidecar.get("meta", {})

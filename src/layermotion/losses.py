@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .fields import PARTITION, LayeredFieldParams, backward_eval_layers
+from .fields import BLOCK_NAMES, PARTITION, LayeredFieldParams, backward_eval_layers
 from .renderer import ForwardCache, render_batch
 
 GRAD_CHUNK = 512  # rays per reduction chunk; fixed so workers cannot reorder math
@@ -184,12 +184,18 @@ def total_loss_and_gradients(
     batch: RayBatch,
     cfg: LossConfig = LossConfig(),
     workers: int = 1,
+    wrt=BLOCK_NAMES,
 ):
-    """Evaluate the enabled loss terms and exact gradients for every block.
+    """Evaluate the enabled loss terms and exact gradients for the blocks in `wrt`.
 
-    Returns (LossReport, grads) where grads maps each parameter block name
-    to an array of matching shape. Duplicating every ray in the batch leaves
-    both the losses and the gradients unchanged.
+    Returns (LossReport, grads) where grads maps each block name in `wrt`
+    (default: every block) to an array of matching shape. Gradients of
+    blocks outside `wrt` are never computed, and the partition norms in the
+    report cover only the requested blocks. An empty `wrt` runs the forward
+    pass and the loss terms, with every finiteness check, and no backward
+    pass. Neither the losses nor a requested gradient depend on `wrt`.
+    Duplicating every ray in the batch leaves both the losses and the
+    gradients unchanged.
     """
     n = batch.n_rays
     if n == 0:
@@ -232,6 +238,9 @@ def total_loss_and_gradients(
             sel = fused[sl]
             sums[2] = cfg.lambda_nmf * np.sum((bundle.mask_ss * sel) ** 2)
             dout[:, 4] = 2.0 * cfg.lambda_nmf * bundle.mask_ss * sel / n_fused
+        if not wrt:
+            results[ci] = (sums, {})
+            return
         d_sigma, d_color, d_beta = _integrate_backward(cache, dout)
         grads = backward_eval_layers(
             params,
@@ -239,6 +248,7 @@ def total_loss_and_gradients(
             d_sigma.reshape(-1, 3),
             d_color.reshape(-1, 3, 3),
             d_beta.reshape(-1, 3),
+            wrt=wrt,
         )
         results[ci] = (sums, grads)
 
@@ -267,7 +277,7 @@ def total_loss_and_gradients(
 
     norms = {
         part: float(
-            np.sqrt(sum(float(np.sum(grads[b] ** 2)) for b in names))
+            np.sqrt(sum(float(np.sum(grads[b] ** 2)) for b in names if b in grads))
         )
         for part, names in PARTITION.items()
     }

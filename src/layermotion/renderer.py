@@ -29,11 +29,6 @@ EPS_SIGMA = 1e-12
 DELTA_CAP = 8.0  # pseudo-width of the last sample, meters
 CHANNELS = ("color", "uncertainty", "mask_ss", "mask_dy", "mask_st", "t_bg")
 
-# Layer-indicator pseudo-colors, one row per layer (static, semi-static,
-# dynamic): the semi-static mask transports the second component, the
-# dynamic mask the third.
-_PSEUDO = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-
 
 @dataclass(frozen=True)
 class RaySamples:

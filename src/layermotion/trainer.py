@@ -225,8 +225,11 @@ def _log_row(epoch: int, step: int, report: LossReport) -> dict:
 def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
     """Test-time refinement of the semi-static and dynamic partitions only.
 
-    Returns (refined params, log rows, accepted probe losses). The static
-    partition of the result is bit-identical to the input.
+    Returns (refined params, log rows, accepted probe losses). Each step
+    differentiates only the semi-static and dynamic blocks, so the static
+    adjoint is never computed and the static partition of the result is
+    bit-identical to the input; the `grad_norm_st` log column reads 0.0.
+    Guard probes evaluate the loss without any backward pass.
     """
     loss_cfg = cfg.loss_config()
     if (loss_cfg.use_pmf or loss_cfg.use_nmf) and dataset.pseudo is None:
@@ -245,7 +248,9 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
     probe_batch = dataset.ray_batch(probe_ids, cfg.n_samples, False, seed=[cfg.seed, 19])
 
     def probe_loss() -> float:
-        report, _ = total_loss_and_gradients(params, probe_batch, loss_cfg, cfg.workers)
+        report, _ = total_loss_and_gradients(
+            params, probe_batch, loss_cfg, cfg.workers, wrt=()
+        )
         return report.l_total
 
     def snapshot():
@@ -266,7 +271,9 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
             batch = dataset.ray_batch(
                 ids, cfg.n_samples, cfg.stratified, seed=[cfg.seed, 29, step]
             )
-            report, grads = total_loss_and_gradients(params, batch, loss_cfg, cfg.workers)
+            report, grads = total_loss_and_gradients(
+                params, batch, loss_cfg, cfg.workers, wrt=trainable
+            )
             opt.step(params.blocks, grads, lr_scale)
             log.append(_log_row(-1, step, report))
             step += 1

@@ -41,6 +41,21 @@ def naive_trilinear(grid, point, lo, hi, res):
     return out
 
 
+def naive_scatter(shape, flat_idx, w, dvals):
+    """Adjoint of the trilinear gather by eight unbuffered scatter-adds.
+
+    The straightforward `np.add.at` form: corner by corner, every point adds
+    its weighted value into its corner's cell.
+    """
+    res3 = shape[0] * shape[1] * shape[2]
+    c = int(np.prod(shape[3:])) if len(shape) > 3 else 1
+    dv = dvals.reshape(dvals.shape[0], c)
+    out = np.zeros((res3, c))
+    for o in range(8):
+        np.add.at(out, flat_idx[:, o], w[:, o, None] * dv)
+    return out.reshape(shape)
+
+
 def naive_eval_point(params, x, x_cam, t):
     """Per-layer (sigma, color, beta) at one point, by explicit arithmetic."""
     cfg = params.config

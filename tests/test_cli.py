@@ -4,6 +4,7 @@ import pytest
 
 from layermotion.cli import main, read_config_file, sha256_file
 from layermotion.errors import ConfigError
+from layermotion.fields import FieldConfig, FrustumSpec, save_checkpoint, zero_params
 
 TINY = [
     "--scene", "mini:6x24x24",
@@ -95,6 +96,17 @@ class TestMissingArtifacts:
         assert run(["generate", "--workspace", ws, "--scene", "mini:6x24x24"]) == 0
         assert run(["refine", "--workspace", ws]) == 3
         assert "model.lmf" in capsys.readouterr().err
+
+    def test_truncated_checkpoint(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert run(["generate", "--workspace", ws, "--scene", "mini:6x24x24"]) == 0
+        frustum = FrustumSpec(fx=8.0, fy=8.0, cx=3.5, cy=3.5, width=8, height=8)
+        ckpt = ws / "checkpoints" / "model.lmf"
+        ckpt.parent.mkdir(exist_ok=True)
+        save_checkpoint(zero_params(FieldConfig(n_frames=6, frustum=frustum)), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:-1])
+        assert run(["render", "--workspace", ws, "--frames", "0"]) == 3
+        assert "cut short" in capsys.readouterr().err
 
 
 def test_numerical_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,9 @@ from layermotion.fields import (
     FieldConfig,
     FrustumSpec,
     TemporalCode,
+    _corner_weights,
+    _scatter,
+    backward_eval_layers,
     eval_layers,
     eval_layers_batch,
     fourier_rows,
@@ -21,7 +24,7 @@ from layermotion.fields import (
     zero_params,
 )
 
-from naive_ref import naive_eval_point
+from naive_ref import naive_eval_point, naive_scatter
 
 
 def small_frustum(n=8):
@@ -195,6 +198,76 @@ class TestEvalLayers:
         assert np.all((color >= 0) & (color <= 1))
 
 
+class TestScatter:
+    """The bincount scatter against the `np.add.at` oracle.
+
+    Both add each cell's terms in the same order, so they agree exactly.
+    """
+
+    @staticmethod
+    def check(shape, pts, seed):
+        flat, w, _ = _corner_weights(pts, (-1.0,) * 3, (1.0,) * 3, shape[0])
+        dv = np.random.default_rng(seed).standard_normal((pts.shape[0],) + shape[3:])
+        out = _scatter(shape, flat, w, dv)
+        assert out.shape == shape and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, naive_scatter(shape, flat, w, dv))
+
+    @pytest.mark.parametrize(
+        "shape", [(6, 6, 6, 4), (5, 5, 5, 1), (5, 5, 5), (4, 4, 4, 3, 5), (7, 7, 7, 2, 5)]
+    )
+    def test_random_points(self, shape):
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (500, 3))
+        self.check(shape, pts, seed=1)
+
+    @pytest.mark.parametrize("shape", [(6, 6, 6, 4), (5, 5, 5), (4, 4, 4, 3, 5)])
+    def test_points_all_in_one_cell(self, shape):
+        # Every point adds into the same eight cells: maximal index collisions.
+        pts = np.random.default_rng(2).uniform(0.01, 0.09, (300, 3))
+        self.check(shape, pts, seed=3)
+
+    def test_points_on_the_boundary(self):
+        pts = np.random.default_rng(4).choice([-1.0, 1.0], (64, 3))
+        self.check((4, 4, 4, 3, 5), pts, seed=5)
+
+
+class TestBackwardSubset:
+    @staticmethod
+    def cached_eval(cfg, seed):
+        params = randomized_params(cfg, seed=seed)
+        pts, pts_cam, t_idx = sample_points(cfg, 80, seed=seed + 1)
+        *_, cache = eval_layers_batch(params, pts, pts_cam, t_idx, want_cache=True)
+        rng = np.random.default_rng(seed + 2)
+        upstream = (
+            rng.standard_normal((80, 3)),
+            rng.standard_normal((80, 3, 3)),
+            rng.standard_normal((80, 3)),
+        )
+        return params, cache, upstream
+
+    @pytest.mark.parametrize("learn_basis", [False, True])
+    def test_time_dependent_blocks_match_full_call(self, learn_basis):
+        params, cache, upstream = self.cached_eval(small_config(learn_basis=learn_basis), 20)
+        full = backward_eval_layers(params, cache, *upstream)
+        assert set(full) == set(BLOCK_NAMES)
+        wrt = PARTITION["ss"] + PARTITION["dy"]
+        part = backward_eval_layers(params, cache, *upstream, wrt=wrt)
+        assert set(part) == set(wrt)
+        for name in wrt:
+            np.testing.assert_array_equal(part[name], full[name])
+
+    def test_each_single_block(self):
+        params, cache, upstream = self.cached_eval(small_config(), 30)
+        full = backward_eval_layers(params, cache, *upstream)
+        for name in BLOCK_NAMES:
+            one = backward_eval_layers(params, cache, *upstream, wrt=(name,))
+            assert list(one) == [name]
+            np.testing.assert_array_equal(one[name], full[name])
+
+    def test_empty_set(self):
+        params, cache, upstream = self.cached_eval(small_config(), 40)
+        assert backward_eval_layers(params, cache, *upstream, wrt=()) == {}
+
+
 class TestParameterPartition:
     def test_partition_complete_and_disjoint(self):
         params = randomized_params(small_config())
@@ -265,6 +338,38 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "none.lmf")
+
+    # Header layout: magic (4), block count (4); then per block: name length
+    # (2), name, rank (1), shape (4 per axis), float64 data. The first block
+    # is `phi0` with rank 4, so its shape spans bytes 15..30.
+    @pytest.mark.parametrize(
+        "cut", [2, 6, 12, 14, 20, 40, -8], ids=["magic", "count", "name", "rank", "shape", "data", "last"]
+    )
+    def test_truncated_file(self, tmp_path, cut):
+        params = randomized_params(small_config(), seed=16)
+        path = tmp_path / "model.lmf"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(DataError, match="is cut short"):
+            load_checkpoint(path)
+
+    def test_trailing_byte(self, tmp_path):
+        params = zero_params(small_config())
+        path = tmp_path / "model.lmf"
+        save_checkpoint(params, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataError, match="after the last block"):
+            load_checkpoint(path)
+
+    def test_corrupt_shape_claims_more_than_the_file(self, tmp_path):
+        params = zero_params(small_config())
+        path = tmp_path / "model.lmf"
+        save_checkpoint(params, path)
+        data = bytearray(path.read_bytes())
+        data[15:19] = b"\xff\xff\xff\xff"  # first axis of phi0
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="is cut short"):
+            load_checkpoint(path)
 
 
 class TestLearnBasisMode:

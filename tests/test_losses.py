@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from layermotion.errors import ConfigError, DomainError
-from layermotion.fields import PARTITION
+from layermotion.fields import BLOCK_NAMES, PARTITION
 from layermotion.geometry import look_at
 from layermotion.losses import (
     LossConfig,
@@ -255,3 +255,32 @@ class TestTotalLossAndGradients:
         assert r1.l_total == r2.l_total
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
+
+
+class TestGradientSubset:
+    def test_empty_set_matches_full_losses_bit_for_bit(self):
+        cfg = small_config()
+        params = randomized_params(cfg, seed=21)
+        batch = make_batch(cfg, n_rays=600, n_samples=3, seed=22)
+        full, _ = total_loss_and_gradients(params, batch, LossConfig(), workers=2)
+        probe, grads = total_loss_and_gradients(params, batch, LossConfig(), workers=2, wrt=())
+        assert grads == {}
+        for field in ("l_rgb", "l_pmf", "l_nmf", "l_total", "n_pixels", "n_fused"):
+            assert getattr(probe, field) == getattr(full, field)
+        assert probe.grad_norms == {"st": 0.0, "ss": 0.0, "dy": 0.0}
+
+    def test_refined_blocks_match_full_call(self):
+        cfg = small_config()
+        params = randomized_params(cfg, seed=23)
+        batch = make_batch(cfg, n_rays=600, n_samples=3, seed=24)
+        wrt = PARTITION["ss"] + PARTITION["dy"]
+        r_full, g_full = total_loss_and_gradients(params, batch, LossConfig(), workers=2)
+        r_part, g_part = total_loss_and_gradients(params, batch, LossConfig(), workers=2, wrt=wrt)
+        assert set(g_part) == set(wrt)
+        for name in wrt:
+            np.testing.assert_array_equal(g_part[name], g_full[name])
+        assert r_part.l_total == r_full.l_total
+        assert r_part.grad_norms["st"] == 0.0
+        assert r_part.grad_norms["ss"] == r_full.grad_norms["ss"]
+        assert r_part.grad_norms["dy"] == r_full.grad_norms["dy"]
+        assert set(g_full) == set(BLOCK_NAMES)
