@@ -168,6 +168,29 @@ class TestPipeline:
             assert sha256_file(p) == digest
 
 
+GOLDEN = Path(__file__).parent / "golden_mini.sha256"
+# The sidecars store the field config, and the workspace manifest hashes them.
+GOLDEN_EXEMPT = {"manifest.csv", "checkpoints/model.lmf.json", "checkpoints/model_refined.lmf.json"}
+
+
+def test_golden_checksums(tmp_path):
+    """Every artifact of the mini pipeline (seed 0, 2 workers) is pinned byte for byte.
+
+    `golden_mini.sha256` was recorded with numpy 2.4.6 on x86-64; a refactor
+    that claims to keep the maths must keep every listed digest. Only the
+    checkpoint sidecars and the workspace manifest are exempt.
+    """
+    ws = tmp_path / "ws"
+    run_pipeline(ws, seed=0, workers=2)
+    expected = dict(
+        reversed(line.split("  ", 1)) for line in GOLDEN.read_text().splitlines()
+    )
+    got = {k: v for k, v in tree_hashes(ws).items() if k not in GOLDEN_EXEMPT}
+    assert sorted(got) == sorted(expected)
+    changed = sorted(k for k in expected if got[k] != expected[k])
+    assert changed == []
+
+
 @pytest.mark.slow
 class TestEndToEndDeterminism:
     def test_checksum_identical_runs_and_worker_independence(self, tmp_path):
