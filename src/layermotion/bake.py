@@ -15,14 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (
-    FieldConfig,
-    LayeredFieldParams,
-    fourier_rows,
-    logit,
-    softplus_inv,
-    zero_params,
-)
+from .fields import FieldConfig, LayeredFieldParams, logit, softplus_inv, zero_params
 from .scenegen import (
     DYNAMIC,
     SEMI_STATIC,
@@ -52,8 +45,6 @@ def _fill(grid_slice, inside, inside_color, fallback_color):
 
 def bake_scene(scene: SceneSpec, config: FieldConfig) -> LayeredFieldParams:
     """Field parameters that reproduce the analytic scene when rendered."""
-    if config.learn_basis:
-        raise ConfigError("baking assumes the learned-coefficient code mode")
     ss_objects = [o for o in scene.objects if o.category == SEMI_STATIC]
     dy_objects = [o for o in scene.objects if o.category == DYNAMIC]
     st_objects = [o for o in scene.objects if o.category == STATIC]
@@ -84,7 +75,7 @@ def bake_scene(scene: SceneSpec, config: FieldConfig) -> LayeredFieldParams:
         _fill(ss[:, phase], inside, color, nearest_color(ss_objects, pts_ss, offs))
     if ss_objects:
         t_star = ss_objects[0].t_star
-        basis = fourier_rows(config.code_rank, config.code_dim)
+        basis = params.basis
         code = np.zeros((config.n_frames, config.code_rank))
         code[:t_star, 0] = 1.0
         code[t_star:, 1 if config.code_rank > 1 else 0] = 1.0

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,9 +25,12 @@ from . import imgio
 from .dataset import Dataset, load_dataset, write_dataset
 from .errors import ConfigError, DataError, EngineError, MissingArtifactError, NumericalError
 from .evalkit import EvalReport, analyze_pseudo_masks, evaluate
-from .fields import init_params, load_checkpoint, save_checkpoint
-from .renderer import render_frame
+from .fields import init_params, load_checkpoint, read_sidecar, save_checkpoint
+from .losses import LossConfig
+from .renderer import RENDER_SAMPLES, render_frame
 from .scenegen import (
+    BENCH_V1,
+    MotionMask,
     SceneConfig,
     benchmark_config,
     degrade_to_pseudo_masks,
@@ -64,24 +66,25 @@ _CONFIG_KEYS = {
     "label": str,
 }
 
-_DEFAULTS = {
-    "scene": "lmf-bench-v1",
-    "seed": 0,
-    "epochs": 20,
-    "rays_per_step": 2048,
-    "n_samples": 24,
-    "lr": 5e-4,
-    "losses": "rgb,pmf,nmf",
-    "lambda_pmf": 1.1,
-    "lambda_nmf": 1.0,
-    "threshold": 0.5,
-    "recall": 0.6,
-    "fpr": 0.002,
-    "neighbors": 0,
-    "refine_steps": 300,
-    "refine_lr": 1e-3,
-    "render_samples": 64,
-}
+# Each default is read from the dataclass or constant that owns it.
+_DEFAULTS = dict(
+    scene=BENCH_V1,
+    seed=TrainConfig.seed,
+    epochs=TrainConfig.epochs,
+    rays_per_step=TrainConfig.rays_per_step,
+    n_samples=TrainConfig.n_samples,
+    lr=TrainConfig.learning_rate,
+    losses=",".join(TrainConfig.losses),
+    lambda_pmf=LossConfig.lambda_pmf,
+    lambda_nmf=LossConfig.lambda_nmf,
+    threshold=LossConfig.threshold,
+    recall=SceneConfig.recall,
+    fpr=SceneConfig.fpr,
+    neighbors=RefineConfig.neighbors,
+    refine_steps=RefineConfig.steps,
+    refine_lr=RefineConfig.learning_rate,
+    render_samples=RENDER_SAMPLES,
+)
 
 
 def read_config_file(path) -> dict:
@@ -119,21 +122,18 @@ def _settings(args) -> dict:
     return cfg
 
 
-def _parse_frames(text: str | None, fallback) -> tuple[int, ...]:
+def _parse_frames(text: str | None, ds: Dataset) -> tuple[int, ...]:
+    """The comma-separated frame list, or the dataset's eval frames when empty."""
     if not text:
-        return tuple(fallback)
+        return ds.eval_frames
     try:
-        return tuple(int(s) for s in str(text).split(",") if s.strip() != "")
+        frames = tuple(int(s) for s in str(text).split(",") if s.strip() != "")
     except ValueError as e:
         raise ConfigError(f"bad frame list: {text!r}") from e
-
-
-def _loss_names(text: str) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in text.split(",") if s.strip())
-    unknown = set(names) - {"rgb", "pmf", "nmf"}
-    if unknown:
-        raise ConfigError(f"unknown loss names: {sorted(unknown)}")
-    return names
+    bad = [t for t in frames if not 0 <= t < ds.n_frames]
+    if bad:
+        raise ConfigError(f"frames {bad} outside [0, {ds.n_frames})")
+    return frames
 
 
 def sha256_file(path) -> str:
@@ -175,7 +175,7 @@ class Workspace:
 
 def _scene_config(cfg: dict) -> SceneConfig:
     name = cfg["scene"]
-    if name == "lmf-bench-v1":
+    if name == BENCH_V1:
         base = benchmark_config(name, seed=cfg["seed"])
     elif name.startswith("mini:"):
         # mini:TxHxW, reduced smoke scenes
@@ -206,6 +206,20 @@ def _field_config(ds: Dataset, cfg: dict):
         if key in cfg:
             overrides[key] = cfg[key]
     return ds.field_config(**overrides)
+
+
+def _optim_settings(cfg: dict) -> dict:
+    """The TrainConfig/RefineConfig fields the two subcommands share."""
+    return dict(
+        rays_per_step=cfg["rays_per_step"],
+        n_samples=cfg["n_samples"],
+        losses=LossConfig.from_names(cfg["losses"].split(",")).names(),
+        lambda_pmf=cfg["lambda_pmf"],
+        lambda_nmf=cfg["lambda_nmf"],
+        threshold=cfg["threshold"],
+        seed=cfg["seed"],
+        workers=cfg["workers"],
+    )
 
 
 def _label(meta: dict) -> str:
@@ -243,15 +257,8 @@ def cmd_train(args) -> int:
     tc = TrainConfig(
         epochs=cfg["epochs"],
         learning_rate=cfg["lr"],
-        rays_per_step=cfg["rays_per_step"],
-        n_samples=cfg["n_samples"],
         steps_per_epoch=cfg.get("steps_per_epoch"),
-        losses=_loss_names(cfg["losses"]),
-        lambda_pmf=cfg["lambda_pmf"],
-        lambda_nmf=cfg["lambda_nmf"],
-        threshold=cfg["threshold"],
-        seed=cfg["seed"],
-        workers=cfg["workers"],
+        **_optim_settings(cfg),
     )
     if tc.epochs < 1:
         raise ConfigError("epochs must be >= 1")
@@ -288,20 +295,13 @@ def cmd_refine(args) -> int:
     if not ckpt_in.exists():
         raise MissingArtifactError(f"checkpoint not found: {ckpt_in} (run train first)")
     params, meta = load_checkpoint(ckpt_in)
-    frames = _parse_frames(cfg.get("frames"), ds.eval_frames)
+    frames = _parse_frames(cfg.get("frames"), ds)
     rc = RefineConfig(
         frames=frames,
         neighbors=cfg["neighbors"],
         steps=cfg["refine_steps"],
         learning_rate=cfg["refine_lr"],
-        rays_per_step=cfg["rays_per_step"],
-        n_samples=cfg["n_samples"],
-        losses=_loss_names(cfg["losses"]),
-        lambda_pmf=cfg["lambda_pmf"],
-        lambda_nmf=cfg["lambda_nmf"],
-        threshold=cfg["threshold"],
-        seed=cfg["seed"],
-        workers=cfg["workers"],
+        **_optim_settings(cfg),
     )
     log_path = ws.dir("reports") / "refine_log.csv"
     params, log, _ = refine(params, ds, rc)
@@ -329,7 +329,7 @@ def cmd_render(args) -> int:
     ds = _load_dataset(ws)
     ckpt = _pick_checkpoint(ws)
     params, meta = load_checkpoint(ckpt)
-    frames = _parse_frames(cfg.get("frames"), ds.eval_frames)
+    frames = _parse_frames(cfg.get("frames"), ds)
     out_dir = ws.dir("renders")
     created = []
     for t in frames:
@@ -383,7 +383,7 @@ def cmd_eval(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
     ds = _load_dataset(ws)
-    frames = _parse_frames(cfg.get("frames"), ds.eval_frames)
+    frames = _parse_frames(cfg.get("frames"), ds)
     label = cfg.get("label") or ""
     if args.pred_dir:
         preds = _predictions_from_pgm_dir(Path(args.pred_dir), frames, (ds.height, ds.width))
@@ -404,13 +404,7 @@ def cmd_eval(args) -> int:
                 )
                 for t in frames
             }
-            ckpt_meta = {}
-            for name in ("model_refined.lmf.json", "model.lmf.json"):
-                p = ws.root / "checkpoints" / name
-                if p.exists():
-                    ckpt_meta = json.loads(p.read_text()).get("meta", {})
-                    break
-            label = label or _label(ckpt_meta)
+            label = label or _label(read_sidecar(_pick_checkpoint(ws))[1])
         else:
             ckpt = _pick_checkpoint(ws)
             params, meta = load_checkpoint(ckpt)
@@ -426,8 +420,6 @@ def cmd_eval(args) -> int:
     out_dir = ws.dir("reports")
     artifacts = []
     if ds.pseudo is not None:
-        from .scenegen import MotionMask
-
         masks = [
             MotionMask(values=ds.pseudo[t], frame_index=t, threshold=cfg["threshold"])
             for t in range(ds.n_frames)

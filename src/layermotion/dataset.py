@@ -23,9 +23,9 @@ import numpy as np
 from . import imgio
 from .errors import DataError, MissingArtifactError
 from .fields import FieldConfig, FrustumSpec
-from .geometry import CameraPose, load_cameras, save_cameras
+from .geometry import CameraPose, camera_rays, load_cameras, save_cameras
 from .losses import RayBatch
-from .renderer import camera_rays, sample_depths
+from .renderer import sample_depths
 from .scenegen import GroundTruth, MotionMask, SceneConfig, SceneSpec
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
+from .renderer import RENDER_SAMPLES, render_frame
 
 CATEGORIES = ("dyn", "ss", "union")
 
@@ -36,14 +37,6 @@ def average_precision(scores, gt) -> float:
     ranks = np.arange(1, scores.size + 1)
     precision = np.cumsum(hits) / ranks
     return float(precision[hits].mean())
-
-
-def psnr(a, b) -> float:
-    """Peak signal-to-noise ratio between two [0, 1] images."""
-    mse = float(np.mean((np.asarray(a) - np.asarray(b)) ** 2))
-    if mse == 0.0:
-        return np.inf
-    return -10.0 * np.log10(mse)
 
 
 @dataclass(frozen=True)
@@ -125,11 +118,9 @@ def evaluate(predictions, ground_truth, frames, label: str = "") -> EvalReport:
 
 
 def evaluate_params(
-    params, dataset, frames, label: str = "", n_samples: int = 64, workers: int = 1
+    params, dataset, frames, label: str = "", n_samples: int = RENDER_SAMPLES, workers: int = 1
 ) -> EvalReport:
     """Render a model's mask channels on `frames` and score them."""
-    from .renderer import render_frame
-
     preds = {}
     for t in frames:
         out = render_frame(

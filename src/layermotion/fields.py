@@ -14,16 +14,13 @@ Layers and their parameter partitions:
                       by its own temporal-code map. Depends only on the
                       camera-frame point and t.
 
-The temporal code matrix factors as (T x P) coefficients times a fixed
-(P x D) bank of unit-norm sinusoid rows. The coefficient columns split into
-two disjoint blocks, one consumed by each time-dependent layer, so the
-parameter partition is exact. A config switch (`learn_basis`) swaps the
-roles: coefficients become fixed sinusoids of normalized time and the bank
-is learned, which enforces temporal smoothness.
+Each time-dependent layer owns a learned (T x P) coefficient block; times
+one fixed (P x D) bank of unit-norm sinusoid rows it gives that layer's
+per-frame codes. No block is shared between partitions, so the parameter
+partition is exact.
 
 Activations: density and uncertainty use softplus (uncertainty gets a
-`beta_min` floor), color uses sigmoid. Colors are currently
-view-independent; direction arguments are accepted for interface stability.
+`beta_min` floor), color uses sigmoid. Colors are view-independent.
 """
 
 from __future__ import annotations
@@ -31,14 +28,12 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, NumericalError
-
-BETA_MIN_DEFAULT = 0.03
 
 # Block name -> partition. `phi0` is shared by the static and semi-static
 # heads but belongs to the static partition.
@@ -93,34 +88,6 @@ def fourier_rows(n_rows: int, n_cols: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TemporalCode:
-    """Per-frame code vectors z_t as rows of coeffs @ basis."""
-
-    coeffs: np.ndarray  # (T, P)
-    basis: np.ndarray  # (P, D), immutable
-    split: int  # coeff columns [:split] drive the semi-static layer
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.float64)
-        b = np.asarray(self.basis, dtype=np.float64)
-        if c.ndim != 2 or b.ndim != 2 or c.shape[1] != b.shape[0]:
-            raise DomainError("temporal code factor shapes are inconsistent")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def n_frames(self) -> int:
-        return self.coeffs.shape[0]
-
-    def row(self, t: int) -> np.ndarray:
-        if not 0 <= t < self.n_frames:
-            raise DomainError(f"frame index {t} outside [0, {self.n_frames})")
-        return self.coeffs[t] @ self.basis
-
-
-@dataclass(frozen=True)
 class FrustumSpec:
     """Reference camera geometry for normalized frustum coordinates."""
 
@@ -152,8 +119,7 @@ class FieldConfig:
     dyn_mix_k: int = 3
     code_rank: int = 4  # P per time-dependent layer
     code_dim: int = 8  # D
-    beta_min: float = BETA_MIN_DEFAULT
-    learn_basis: bool = False
+    beta_min: float = 0.03
     init_sigma_static: float = 0.10
     init_sigma_semi_static: float = 0.02
     init_sigma_dynamic: float = 0.01
@@ -169,7 +135,7 @@ class FieldConfig:
 
 
 class LayeredFieldParams:
-    """Named parameter blocks plus the fixed temporal-code factors."""
+    """Named parameter blocks plus the fixed sinusoid basis of the temporal codes."""
 
     def __init__(self, config: FieldConfig, blocks: dict[str, np.ndarray]):
         missing = set(BLOCK_NAMES) - set(blocks)
@@ -177,13 +143,7 @@ class LayeredFieldParams:
             raise ConfigError(f"missing parameter blocks: {sorted(missing)}")
         self.config = config
         self.blocks = {k: np.asarray(v, dtype=np.float64) for k, v in blocks.items()}
-        p, d, t = config.code_rank, config.code_dim, config.n_frames
-        if config.learn_basis:
-            self._fixed_ss = fourier_rows(p, t).T  # (T, P) sinusoids of t/T
-            self._fixed_dy = self._fixed_ss
-        else:
-            self._fixed_ss = fourier_rows(p, d)  # (P, D)
-            self._fixed_dy = self._fixed_ss
+        self.basis = fourier_rows(config.code_rank, config.code_dim)  # (P, D)
 
     def copy(self) -> "LayeredFieldParams":
         return LayeredFieldParams(
@@ -192,29 +152,28 @@ class LayeredFieldParams:
 
     def code_table(self, which: str) -> np.ndarray:
         """(T, D) table of per-frame codes for one consumer ('ss' or 'dy')."""
-        learned = self.blocks[f"code_{which}"]
-        fixed = self._fixed_ss if which == "ss" else self._fixed_dy
-        if self.config.learn_basis:
-            return fixed @ learned  # (T,P) @ (P,D)
-        return learned @ fixed  # (T,P) @ (P,D)
+        return self.blocks[f"code_{which}"] @ self.basis
 
-    def code_fixed_factor(self, which: str) -> np.ndarray:
-        return self._fixed_ss if which == "ss" else self._fixed_dy
 
-    @property
-    def temporal_code(self) -> TemporalCode:
-        """The combined (T, 2P) x (2P, D) factorization across both consumers."""
-        cfg = self.config
-        if cfg.learn_basis:
-            coeffs = np.concatenate([self._fixed_ss, self._fixed_dy], axis=1)
-            basis = np.concatenate([self.blocks["code_ss"], self.blocks["code_dy"]], axis=0)
-        else:
-            coeffs = np.concatenate([self.blocks["code_ss"], self.blocks["code_dy"]], axis=1)
-            basis = np.concatenate([self._fixed_ss, self._fixed_dy], axis=0)
-        return TemporalCode(coeffs=coeffs, basis=basis, split=cfg.code_rank)
-
-    def n_parameters(self) -> int:
-        return sum(v.size for v in self.blocks.values())
+def block_shapes(config: FieldConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter block under `config`, in BLOCK_NAMES order."""
+    r, c0, k = config.grid_res, config.feat_channels, config.mix_k
+    rs, rd, kd = config.ss_grid_res, config.dyn_grid_res, config.dyn_mix_k
+    p, d, t = config.code_rank, config.code_dim, config.n_frames
+    return {
+        "phi0": (r, r, r, c0),
+        "st_grid": (r, r, r, 5),
+        "st_head": (5, c0),
+        "ss_grids": (rs, rs, rs, k, 5),
+        "ss_head": (5, c0),
+        "ss_zmap_w": (k, d),
+        "ss_zmap_b": (k,),
+        "code_ss": (t, p),
+        "dy_grids": (rd, rd, rd, kd, 5),
+        "dy_zmap_w": (kd, d),
+        "dy_zmap_b": (kd,),
+        "code_dy": (t, p),
+    }
 
 
 def init_params(config: FieldConfig, seed: int = 0) -> LayeredFieldParams:
@@ -226,54 +185,49 @@ def init_params(config: FieldConfig, seed: int = 0) -> LayeredFieldParams:
     """
     cfg = config
     rng = np.random.default_rng(seed)
-    r, c0, k = cfg.grid_res, cfg.feat_channels, cfg.mix_k
-    rs, rd, kd = cfg.ss_grid_res, cfg.dyn_grid_res, cfg.dyn_mix_k
-    p, d, t = cfg.code_rank, cfg.code_dim, cfg.n_frames
+    shape = block_shapes(cfg)
     noise = cfg.init_noise
 
-    def g(*shape):
-        return noise * rng.standard_normal(shape)
+    def g(name):
+        return noise * rng.standard_normal(shape[name])
 
-    st_grid = g(r, r, r, 5)
+    st_grid = g("st_grid")
     st_grid[..., 0] += softplus_inv(cfg.init_sigma_static)
-    ss_grids = g(rs, rs, rs, k, 5)
+    ss_grids = g("ss_grids")
     ss_grids[..., 0, 0] += softplus_inv(cfg.init_sigma_semi_static)
-    dy_grids = g(rd, rd, rd, kd, 5)
+    dy_grids = g("dy_grids")
     dy_grids[..., 0, 0] += softplus_inv(cfg.init_sigma_dynamic)
-    ss_zmap_b = np.zeros(k)
+    ss_zmap_b = np.zeros(cfg.mix_k)
     ss_zmap_b[0] = 1.0
-    dy_zmap_b = np.zeros(kd)
+    dy_zmap_b = np.zeros(cfg.dyn_mix_k)
     dy_zmap_b[0] = 1.0
-    if cfg.learn_basis:
-        code_ss = 0.3 * rng.standard_normal((p, d))
-        code_dy = 0.3 * rng.standard_normal((p, d))
-    else:
-        # Start the per-frame coefficients as smooth sinusoids of normalized
-        # time (plus noise): the gates then vary over t from step one, which
-        # is what lets the grids specialize to "before" and "after" phases.
-        # Sinusoid columns that alias to zero at this frame count fall back
-        # to noise.
-        frames = np.arange(t)
-        zt = np.empty((t, p))
-        for col in range(p):
-            f = (col + 1) // 2
-            phase = 2.0 * np.pi * f * frames / t
-            wave = np.sin(phase) if col % 2 == 1 else np.cos(phase)
-            norm = np.linalg.norm(wave)
-            zt[:, col] = wave / norm * np.sqrt(t) if norm > 1e-9 else rng.standard_normal(t)
-        code_ss = zt + 0.02 * rng.standard_normal((t, p))
-        code_dy = zt + 0.02 * rng.standard_normal((t, p))
+    # Start the per-frame coefficients as smooth sinusoids of normalized
+    # time (plus noise): the gates then vary over t from step one, which
+    # is what lets the grids specialize to "before" and "after" phases.
+    # Sinusoid columns that alias to zero at this frame count fall back
+    # to noise.
+    t, p = shape["code_ss"]
+    frames = np.arange(t)
+    zt = np.empty((t, p))
+    for col in range(p):
+        f = (col + 1) // 2
+        phase = 2.0 * np.pi * f * frames / t
+        wave = np.sin(phase) if col % 2 == 1 else np.cos(phase)
+        norm = np.linalg.norm(wave)
+        zt[:, col] = wave / norm * np.sqrt(t) if norm > 1e-9 else rng.standard_normal(t)
+    code_ss = zt + 0.02 * rng.standard_normal((t, p))
+    code_dy = zt + 0.02 * rng.standard_normal((t, p))
     blocks = {
-        "phi0": g(r, r, r, c0),
+        "phi0": g("phi0"),
         "st_grid": st_grid,
-        "st_head": g(5, c0),
+        "st_head": g("st_head"),
         "ss_grids": ss_grids,
-        "ss_head": g(5, c0),
-        "ss_zmap_w": 0.05 * rng.standard_normal((k, d)),
+        "ss_head": g("ss_head"),
+        "ss_zmap_w": 0.05 * rng.standard_normal(shape["ss_zmap_w"]),
         "ss_zmap_b": ss_zmap_b,
         "code_ss": code_ss,
         "dy_grids": dy_grids,
-        "dy_zmap_w": 0.05 * rng.standard_normal((kd, d)),
+        "dy_zmap_w": 0.05 * rng.standard_normal(shape["dy_zmap_w"]),
         "dy_zmap_b": dy_zmap_b,
         "code_dy": code_dy,
     }
@@ -282,39 +236,8 @@ def init_params(config: FieldConfig, seed: int = 0) -> LayeredFieldParams:
 
 def zero_params(config: FieldConfig) -> LayeredFieldParams:
     """All-zero parameters (constant softplus(0) density everywhere in support)."""
-    cfg = config
-    r, c0, k = cfg.grid_res, cfg.feat_channels, cfg.mix_k
-    rs, rd, kd = cfg.ss_grid_res, cfg.dyn_grid_res, cfg.dyn_mix_k
-    p, d, t = cfg.code_rank, cfg.code_dim, cfg.n_frames
-    code_shape = (p, d) if cfg.learn_basis else (t, p)
-    blocks = {
-        "phi0": np.zeros((r, r, r, c0)),
-        "st_grid": np.zeros((r, r, r, 5)),
-        "st_head": np.zeros((5, c0)),
-        "ss_grids": np.zeros((rs, rs, rs, k, 5)),
-        "ss_head": np.zeros((5, c0)),
-        "ss_zmap_w": np.zeros((k, d)),
-        "ss_zmap_b": np.zeros(k),
-        "code_ss": np.zeros(code_shape),
-        "dy_grids": np.zeros((rd, rd, rd, kd, 5)),
-        "dy_zmap_w": np.zeros((kd, d)),
-        "dy_zmap_b": np.zeros(kd),
-        "code_dy": np.zeros(code_shape),
-    }
-    return LayeredFieldParams(cfg, blocks)
-
-
-def time_code(params: LayeredFieldParams, t: int) -> np.ndarray:
-    """Row t of the full coefficient/basis product (both consumers' blocks)."""
-    tc = params.temporal_code
-    return tc.row(int(t))
-
-
-def parameter_partition(params: LayeredFieldParams):
-    """Disjoint, exhaustive split of the blocks into (W_st, W_ss, W_dy) views."""
-    return tuple(
-        {name: params.blocks[name] for name in PARTITION[part]}
-        for part in ("st", "ss", "dy")
+    return LayeredFieldParams(
+        config, {name: np.zeros(shape) for name, shape in block_shapes(config).items()}
     )
 
 
@@ -526,7 +449,6 @@ def backward_eval_layers(
     blocks neither the `st_grid` nor the `phi0` scatter runs. A returned
     gradient does not depend on which other blocks were requested.
     """
-    cfg = params.config
     b = params.blocks
     want = set(wrt)
     dpre_sig = d_sigma * cache.dsig
@@ -570,36 +492,15 @@ def backward_eval_layers(
         if code not in want:
             continue
         dz = da @ b[zmap_w]
-        fixed = params.code_fixed_factor(which)
-        if cfg.learn_basis:
-            # z = fixed[t] @ learned -> dL/dlearned = fixed[t]^T dz
-            grads[code] = fixed[cache.t_idx].T @ dz
-        else:
-            # z = learned[t] @ fixed -> accumulate dz @ fixed^T into row t,
-            # one ordered segment sum per code column
-            rows = dz @ fixed.T  # (B, P)
-            n_t, n_p = b[code].shape
-            acc = np.empty((n_t, n_p))
-            for p in range(n_p):
-                acc[:, p] = np.bincount(cache.t_idx, weights=rows[:, p], minlength=n_t)
-            grads[code] = acc
+        # z = code[t] @ basis -> accumulate dz @ basis^T into row t,
+        # one ordered segment sum per code column
+        rows = dz @ params.basis.T  # (B, P)
+        n_t, n_p = b[code].shape
+        acc = np.empty((n_t, n_p))
+        for p in range(n_p):
+            acc[:, p] = np.bincount(cache.t_idx, weights=rows[:, p], minlength=n_t)
+        grads[code] = acc
     return grads
-
-
-def eval_layers(params: LayeredFieldParams, x, x_cam, view, t: int):
-    """Per-layer (sigma, color, beta) triples at world point x / camera point x_cam.
-
-    `view` is accepted for interface stability; colors are view-independent.
-    Returns a dict keyed 'static' / 'semi_static' / 'dynamic'.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    x_cam = np.atleast_2d(np.asarray(x_cam, dtype=np.float64))
-    t_idx = np.full(x.shape[0], int(t), dtype=np.int64)
-    sigma, color, beta = eval_layers_batch(params, x, x_cam, t_idx)
-    out = {}
-    for i, key in enumerate(("static", "semi_static", "dynamic")):
-        out[key] = (sigma[:, i].squeeze(), color[:, i].squeeze(), beta[:, i].squeeze())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -632,20 +533,58 @@ def save_checkpoint(params: LayeredFieldParams, path, meta: dict | None = None) 
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=1, sort_keys=True))
 
 
-def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (params, meta)."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
+def _checked_keys(d, cls, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise DataError(f"{where} is not a JSON object")
+    want = {f.name for f in fields(cls)}
+    if set(d) != want:
+        raise DataError(
+            f"{where}: unknown keys {sorted(set(d) - want)}, missing keys {sorted(want - set(d))}"
+        )
+    return dict(d)
+
+
+def read_sidecar(path) -> tuple[FieldConfig, dict]:
+    """The validated JSON sidecar of the checkpoint at `path`: (config, meta).
+
+    Every defect (no file, invalid JSON, no `config`, config keys other
+    than the fields of :class:`FieldConfig`, or values it rejects) raises
+    `DataError`.
+    """
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise DataError(f"checkpoint sidecar not found: {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
-    cfg_d = dict(sidecar["config"])
-    cfg_d["frustum"] = FrustumSpec(**cfg_d["frustum"])
-    for key in ("world_lo", "world_hi"):
-        cfg_d[key] = tuple(cfg_d[key])
-    config = FieldConfig(**cfg_d)
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except ValueError as e:
+        raise DataError(f"{sidecar_path}: not valid JSON ({e})") from e
+    if not isinstance(sidecar, dict) or "config" not in sidecar:
+        raise DataError(f"{sidecar_path}: no 'config' entry")
+    meta = sidecar.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataError(f"{sidecar_path}: 'meta' is not a JSON object")
+    cfg_d = _checked_keys(sidecar["config"], FieldConfig, f"{sidecar_path}: config")
+    try:
+        cfg_d["frustum"] = FrustumSpec(
+            **_checked_keys(cfg_d["frustum"], FrustumSpec, f"{sidecar_path}: frustum")
+        )
+        for key in ("world_lo", "world_hi"):
+            cfg_d[key] = tuple(cfg_d[key])
+        return FieldConfig(**cfg_d), meta
+    except (ConfigError, TypeError, ValueError) as e:
+        raise DataError(f"{sidecar_path}: bad config ({e})") from e
+
+
+def load_checkpoint(path):
+    """Inverse of :func:`save_checkpoint`; returns (params, meta).
+
+    The blocks must be exactly BLOCK_NAMES, each with the shape the
+    sidecar's config implies; any mismatch raises `DataError`.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"checkpoint not found: {path}")
+    config, meta = read_sidecar(path)
     blocks: dict[str, np.ndarray] = {}
     size = path.stat().st_size
     with open(path, "rb") as fh:
@@ -672,4 +611,15 @@ def load_checkpoint(path):
             blocks[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after the last block")
-    return LayeredFieldParams(config, blocks), sidecar.get("meta", {})
+    if set(blocks) != set(BLOCK_NAMES):
+        raise DataError(
+            f"{path}: unexpected blocks {sorted(set(blocks) - set(BLOCK_NAMES))}, "
+            f"missing blocks {sorted(set(BLOCK_NAMES) - set(blocks))}"
+        )
+    for name, shape in block_shapes(config).items():
+        if blocks[name].shape != shape:
+            raise DataError(
+                f"{path}: block '{name}' has shape {blocks[name].shape}, "
+                f"the sidecar config implies {shape}"
+            )
+    return LayeredFieldParams(config, blocks), meta

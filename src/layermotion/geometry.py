@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DataError, DomainError
 
 ORTHO_TOL = 1e-9
+# Clipped rays start at least NEAR_EPS past the origin and span at least MIN_SPAN.
+NEAR_EPS = 1e-4
+MIN_SPAN = 1e-3
 
 
 def _as_vec3(x) -> np.ndarray:
@@ -95,10 +98,40 @@ def world_to_camera(pose: CameraPose, x) -> np.ndarray:
     return x @ pose.rotation.T + pose.translation
 
 
-def camera_to_world(pose: CameraPose, x_cam) -> np.ndarray:
-    """Inverse of :func:`world_to_camera`."""
-    x_cam = np.asarray(x_cam, dtype=np.float64)
-    return (x_cam - pose.translation) @ pose.rotation
+def pixel_directions(pose: CameraPose, ux, uy) -> np.ndarray:
+    """Unit world-frame viewing directions through pixel coordinates (ux, uy).
+
+    `ux` and `uy` are arrays of one shape (...); returns (..., 3). The
+    directions point away from the camera, the sense in which a ray marches.
+    """
+    ux = np.asarray(ux, dtype=np.float64)
+    uy = np.asarray(uy, dtype=np.float64)
+    d = np.stack(
+        [(ux - pose.cx) / pose.fx, (uy - pose.cy) / pose.fy, -np.ones_like(ux)], axis=-1
+    )
+    d = d @ pose.rotation  # rows of R are camera axes: R^T @ d per pixel
+    return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+
+def slab_interval(origins, march, lo, hi):
+    """(enter, exit) distances of rays origins + march * tau through the box [lo, hi].
+
+    Broadcasts over leading axes and reduces the last (xyz) axis. A ray
+    parallel to a slab is unconstrained by it when its origin lies within
+    the slab and misses otherwise; a missed box gives exit < enter.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 0 * inf on an axis-parallel slab is nan; the where below drops it.
+        inv = 1.0 / march
+        t0 = (lo - origins) * inv
+        t1 = (hi - origins) * inv
+    on_axis = march == 0.0
+    inside = (origins >= lo) & (origins <= hi)
+    t_lo = np.where(on_axis, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
+    t_hi = np.where(on_axis, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
+    return t_lo.max(axis=-1), t_hi.min(axis=-1)
 
 
 def ray_through_pixel(
@@ -116,41 +149,41 @@ def ray_through_pixel(
         w, h = image_size
         if not (-0.5 <= ux <= w - 0.5) or not (-0.5 <= uy <= h - 0.5):
             raise DomainError(f"pixel ({ux}, {uy}) outside image bounds {w}x{h}")
-    d_cam = np.array([(ux - pose.cx) / pose.fx, (uy - pose.cy) / pose.fy, -1.0])
-    d_world = pose.rotation.T @ d_cam
-    d_world /= np.linalg.norm(d_world)
     # x(tau) = origin - direction*tau must march along the viewing direction.
-    return Ray(origin=pose.center, direction=-d_world, pixel=(ux, uy))
+    return Ray(origin=pose.center, direction=-pixel_directions(pose, ux, uy), pixel=(ux, uy))
 
 
-def clip_ray_to_box(ray: Ray, lo, hi, eps: float = 1e-4) -> Ray:
+def camera_rays(pose: CameraPose, width: int, height: int, world_lo, world_hi):
+    """Per-pixel ray origin, directions nu, and box-clipped (t_near, t_far).
+
+    Directions follow the marching convention point = origin - nu * depth.
+    Flattened row-major over pixels: index iy * width + ix.
+    """
+    uy, ux = np.mgrid[0:height, 0:width].astype(np.float64)
+    nu = -pixel_directions(pose, ux, uy).reshape(-1, 3)
+    origin = pose.center
+    enter, exit_ = slab_interval(origin, -nu, world_lo, world_hi)
+    t_near = np.maximum(enter, NEAR_EPS)
+    t_far = np.maximum(exit_, t_near + MIN_SPAN)
+    return origin, nu, t_near, t_far
+
+
+def clip_ray_to_box(ray: Ray, lo, hi) -> Ray:
     """Restrict [t_near, t_far] to the ray's overlap with an axis-aligned box.
 
-    Constants match the batched per-frame ray setup so a clipped single ray
+    Uses the constants of :func:`camera_rays`, so a clipped single ray
     renders identically to the corresponding frame pixel.
     """
-    lo = _as_vec3(lo)
-    hi = _as_vec3(hi)
-    march = -ray.direction  # forward direction of travel
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(march != 0.0, 1.0 / march, np.inf)
-    t0 = (lo - ray.origin) * inv
-    t1 = (hi - ray.origin) * inv
-    # Degenerate axes: the slab constraint is either void or unsatisfiable.
-    on_axis = march == 0.0
-    inside = (ray.origin >= lo) & (ray.origin <= hi)
-    t_lo = np.where(on_axis, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
-    t_hi = np.where(on_axis, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
-    enter = float(np.max(t_lo))
-    exit_ = float(np.min(t_hi))
+    enter, exit_ = slab_interval(ray.origin, -ray.direction, _as_vec3(lo), _as_vec3(hi))
+    enter, exit_ = float(enter), float(exit_)
     if exit_ <= max(enter, 0.0):
         raise DomainError("ray does not intersect the box")
-    t_near = max(enter, eps)
+    t_near = max(enter, NEAR_EPS)
     return Ray(
         origin=ray.origin,
         direction=ray.direction,
         t_near=t_near,
-        t_far=max(exit_, t_near + 1e-3),
+        t_far=max(exit_, t_near + MIN_SPAN),
         pixel=ray.pixel,
     )
 

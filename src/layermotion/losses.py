@@ -43,18 +43,18 @@ class LossConfig:
     threshold: float = 0.5
 
     @staticmethod
-    def from_names(names, lambda_pmf=1.1, lambda_nmf=1.0, threshold=0.5) -> "LossConfig":
-        names = set(names)
+    def from_names(names, **weights) -> "LossConfig":
+        """Enable the named terms; `weights` overrides lambda_pmf, lambda_nmf, threshold.
+
+        Names are stripped and empty ones ignored; an unknown name raises
+        `ConfigError`.
+        """
+        names = {str(n).strip() for n in names} - {""}
         unknown = names - {"rgb", "pmf", "nmf"}
         if unknown:
             raise ConfigError(f"unknown loss names: {sorted(unknown)}")
         return LossConfig(
-            use_rgb="rgb" in names,
-            use_pmf="pmf" in names,
-            use_nmf="nmf" in names,
-            lambda_pmf=lambda_pmf,
-            lambda_nmf=lambda_nmf,
-            threshold=threshold,
+            use_rgb="rgb" in names, use_pmf="pmf" in names, use_nmf="nmf" in names, **weights
         )
 
     def names(self) -> tuple[str, ...]:
@@ -106,31 +106,6 @@ class RayBatch:
             np.einsum("nij,nkj->nki", self.rot[sl], pts) + self.trans[sl, None, :]
         )
         return pts, pts_cam
-
-
-def rgb_loss(pred: np.ndarray, target: np.ndarray, uncertainty: np.ndarray) -> float:
-    """Self-calibrated reconstruction loss, averaged over the pixel batch."""
-    uncertainty = np.asarray(uncertainty, dtype=np.float64)
-    if np.any(uncertainty <= 0.0):
-        raise DomainError("uncertainty must be positive (beta floor missing?)")
-    err = np.sum((np.asarray(pred) - np.asarray(target)) ** 2, axis=-1)
-    return float(np.mean(err / (2.0 * uncertainty**2) + np.log(uncertainty**2)))
-
-
-def pmf_loss(pred_mask_dy, mask_values, lambda_pmf: float = 1.1) -> float:
-    """Squared pull of the rendered dynamic mask toward the soft 2D label."""
-    d = np.asarray(pred_mask_dy, dtype=np.float64) - np.asarray(mask_values)
-    return float(lambda_pmf * np.mean(d**2))
-
-
-def nmf_loss(pred_mask_ss, mask_binary, lambda_nmf: float = 1.0) -> float:
-    """Penalty on the semi-static mask over labeled-dynamic pixels; 0 if none."""
-    mask_binary = np.asarray(mask_binary, dtype=bool)
-    count = int(mask_binary.sum())
-    if count == 0:
-        return 0.0
-    v = np.asarray(pred_mask_ss, dtype=np.float64)[mask_binary]
-    return float(lambda_nmf * np.sum(v**2) / count)
 
 
 def _integrate_backward(cache: ForwardCache, dout: np.ndarray):

@@ -23,11 +23,12 @@ import numpy as np
 
 from .errors import DomainError, RenderError
 from .fields import LayeredFieldParams, eval_layers_batch
-from .geometry import CameraPose, Ray, clip_ray_to_box
+from .geometry import CameraPose, Ray, camera_rays, clip_ray_to_box, world_to_camera
 
 EPS_SIGMA = 1e-12
 DELTA_CAP = 8.0  # pseudo-width of the last sample, meters
 CHANNELS = ("color", "uncertainty", "mask_ss", "mask_dy", "mask_st", "t_bg")
+RENDER_SAMPLES = 64  # default quadrature nodes per rendered ray
 
 
 @dataclass(frozen=True)
@@ -83,40 +84,30 @@ def sample_depths(t_near, t_far, n_samples: int, stratified: bool = False, seed:
     return depths, deltas
 
 
-def sample_ray(
-    ray: Ray,
-    n_samples: int,
-    stratified: bool = False,
-    seed: int = 0,
-    pose: CameraPose | None = None,
-) -> RaySamples:
-    """Quadrature nodes for a single ray; pass `pose` to get camera points."""
+def sample_ray(ray: Ray, n_samples: int, pose: CameraPose | None = None) -> RaySamples:
+    """Midpoint quadrature nodes for a single ray; pass `pose` to get camera points."""
     if not np.isfinite(ray.t_far):
         raise DomainError("sample_ray requires a finite t_far (clip the ray first)")
-    depths, deltas = sample_depths(
-        np.array([ray.t_near]), np.array([ray.t_far]), n_samples, stratified, seed
-    )
+    depths, deltas = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), n_samples)
     pts = ray.point_at(depths[0])
-    pts_cam = None
-    if pose is not None:
-        pts_cam = pts @ pose.rotation.T + pose.translation
+    pts_cam = None if pose is None else world_to_camera(pose, pts)
     return RaySamples(
         depths=depths[0], deltas=deltas[0], points_world=pts, points_cam=pts_cam
     )
 
 
-def composite_point(sigma, color, beta=None, eps_sigma: float = EPS_SIGMA):
+def composite_point(sigma, color, beta=None):
     """Mix per-layer values at point(s): densities add, the rest mix by share.
 
     `sigma` is (..., 3) over (static, semi-static, dynamic); `color` is
     (..., 3, 3); optional `beta` is (..., 3). Returns a dict with `sigma`,
     `color`, `m_st`, `m_ss`, `m_dy` (and `beta` when given). Points with
-    total density below `eps_sigma` get zero color and shares.
+    total density below EPS_SIGMA get zero color and shares.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     color = np.asarray(color, dtype=np.float64)
     total = sigma.sum(axis=-1)
-    live = total > eps_sigma
+    live = total > EPS_SIGMA
     denom = np.where(live, total, 1.0)
     share = sigma / denom[..., None] * live[..., None]
     mixed_color = np.einsum("...l,...lc->...c", share, color)
@@ -238,16 +229,14 @@ def render_ray(
     ray: Ray,
     pose: CameraPose,
     t: int | None = None,
-    n_samples: int = 64,
-    stratified: bool = False,
-    seed: int = 0,
+    n_samples: int = RENDER_SAMPLES,
 ) -> RenderBundle:
     """Render one ray at frame t (defaults to the pose's frame index)."""
     t = pose.frame_index if t is None else int(t)
     clipped = ray
     if not np.isfinite(ray.t_far):
         clipped = clip_ray_to_box(ray, params.config.world_lo, params.config.world_hi)
-    samples = sample_ray(clipped, n_samples, stratified, seed, pose=pose)
+    samples = sample_ray(clipped, n_samples, pose=pose)
     bundle = render_batch(
         params,
         samples.points_world[None],
@@ -258,45 +247,13 @@ def render_ray(
     return RenderBundle(**{k: getattr(bundle, k)[0] for k in RenderBundle.__dataclass_fields__})
 
 
-def camera_rays(pose: CameraPose, width: int, height: int, world_lo, world_hi):
-    """Per-pixel ray origin, directions nu, and bbox-clipped (t_near, t_far).
-
-    Directions follow the marching convention point = origin - nu * depth.
-    Flattened row-major over pixels: index iy * width + ix.
-    """
-    uy, ux = np.mgrid[0:height, 0:width].astype(np.float64)
-    d_cam = np.stack(
-        [(ux - pose.cx) / pose.fx, (uy - pose.cy) / pose.fy, -np.ones_like(ux)], axis=-1
-    )
-    d_world = d_cam @ pose.rotation
-    d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
-    nu = -d_world.reshape(-1, 3)
-    origin = pose.center
-    lo = np.asarray(world_lo, dtype=np.float64)
-    hi = np.asarray(world_hi, dtype=np.float64)
-    march = -nu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(march != 0.0, 1.0 / march, np.inf)
-    t0 = (lo - origin) * inv
-    t1 = (hi - origin) * inv
-    on_axis = march == 0.0
-    inside = (origin >= lo) & (origin <= hi)
-    t_lo = np.where(on_axis, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
-    t_hi = np.where(on_axis, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
-    t_near = np.maximum(t_lo.max(axis=1), 1e-4)
-    t_far = np.maximum(t_hi.min(axis=1), t_near + 1e-3)
-    return origin, nu, t_near, t_far
-
-
 def render_frame(
     params: LayeredFieldParams,
     pose: CameraPose,
     t: int | None = None,
     channels: tuple[str, ...] = CHANNELS,
-    n_samples: int = 64,
+    n_samples: int = RENDER_SAMPLES,
     workers: int = 1,
-    stratified: bool = False,
-    seed: int = 0,
     chunk: int = 1024,
 ) -> dict[str, np.ndarray]:
     """Render a full frame; pixel (ix, iy) equals the single-ray render there.
@@ -322,11 +279,9 @@ def render_frame(
     def run_chunk(start: int) -> None:
         stop = min(start + chunk, n_pix)
         sl = slice(start, stop)
-        depths, deltas = sample_depths(
-            t_near[sl], t_far[sl], n_samples, stratified, seed=seed + start
-        )
+        depths, deltas = sample_depths(t_near[sl], t_far[sl], n_samples)
         pts = origin[None, None, :] - nu[sl][:, None, :] * depths[:, :, None]
-        pts_cam = pts @ pose.rotation.T + pose.translation
+        pts_cam = world_to_camera(pose, pts)
         bundle = render_batch(
             params, pts, pts_cam, deltas, np.full(stop - start, t, dtype=np.int64)
         )

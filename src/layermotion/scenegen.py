@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import CameraPose, look_at
+from .geometry import CameraPose, look_at, pixel_directions, slab_interval
 
 STATIC = "static"
 SEMI_STATIC = "semi_static"
@@ -326,48 +326,22 @@ def _ray_sphere(origins, dirs, center, radius):
     return np.where(hit, t, np.inf)
 
 
-def _ray_box(origins, dirs, lo, hi):
-    """(entry, exit) distances of the slab overlap, (inf, -inf) where missed."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-    t0 = (lo - origins) * inv
-    t1 = (hi - origins) * inv
-    swap = dirs < 0
-    t_lo = np.where(swap, t1, t0)
-    t_hi = np.where(swap, t0, t1)
-    on_axis = dirs == 0.0
-    inside = (origins >= lo) & (origins <= hi)
-    t_lo = np.where(on_axis, np.where(inside, -np.inf, np.inf), t_lo)
-    t_hi = np.where(on_axis, np.where(inside, np.inf, -np.inf), t_hi)
-    return t_lo.max(axis=-1), t_hi.min(axis=-1)
-
-
 def _hit_distance(obj: SceneObject, origins, dirs, t: int):
     """Distance to `obj` along rays expressed in the object's frame."""
     prim = obj.primitive
     if isinstance(prim, RoomShell):
         # Cameras live inside the cavity; the visible surface is the cavity exit.
-        _, exit_ = _ray_box(origins, dirs, np.asarray(prim.lo), np.asarray(prim.hi))
+        _, exit_ = slab_interval(origins, dirs, prim.lo, prim.hi)
         return np.where(np.isfinite(exit_) & (exit_ > 1e-9), exit_, np.inf)
     off = obj.offset_at(t)
     if isinstance(prim, Sphere):
         return _ray_sphere(origins, dirs, np.asarray(prim.center) + off, prim.radius)
     lo = np.asarray(prim.lo) + off
     hi = np.asarray(prim.hi) + off
-    enter, exit_ = _ray_box(origins, dirs, lo, hi)
+    enter, exit_ = slab_interval(origins, dirs, lo, hi)
     ok = (exit_ >= enter) & (exit_ > 1e-9)
     t_hit = np.where(enter > 1e-9, enter, exit_)
     return np.where(ok, t_hit, np.inf)
-
-
-def _pixel_directions(pose: CameraPose, h: int, w: int) -> np.ndarray:
-    """Unit viewing directions (world frame, marching sense) per pixel."""
-    uy, ux = np.mgrid[0:h, 0:w].astype(np.float64)
-    d = np.stack(
-        [(ux - pose.cx) / pose.fx, (uy - pose.cy) / pose.fy, -np.ones_like(ux)], axis=-1
-    )
-    d = d @ pose.rotation  # rows of R are camera axes: R^T @ d per pixel
-    return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
 def render_ground_truth(scene: SceneSpec) -> GroundTruth:
@@ -379,8 +353,9 @@ def render_ground_truth(scene: SceneSpec) -> GroundTruth:
     rgb = np.empty((t_total, h, w, 3))
     mask_dyn = np.zeros((t_total, h, w), dtype=bool)
     mask_ss = np.zeros((t_total, h, w), dtype=bool)
+    uy, ux = np.mgrid[0:h, 0:w].astype(np.float64)
     for t, pose in enumerate(scene.cameras):
-        dirs_w = _pixel_directions(pose, h, w)
+        dirs_w = pixel_directions(pose, ux, uy)
         origin_w = pose.center
         dirs_c = dirs_w @ pose.rotation.T
         best = np.full((h, w), np.inf)

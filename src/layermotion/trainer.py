@@ -38,57 +38,57 @@ DEFAULT_BLOCK_LR: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 20
-    learning_rate: float = 5e-4
+@dataclass(frozen=True, kw_only=True)
+class OptimConfig:
+    """Settings shared by training and refinement; the loss defaults are LossConfig's."""
+
+    learning_rate: float
     rays_per_step: int = 2048
     n_samples: int = 24
-    steps_per_epoch: int | None = None  # None: one full sweep over all pixels
     losses: tuple[str, ...] = ("rgb", "pmf", "nmf")
-    lambda_pmf: float = 1.1
-    lambda_nmf: float = 1.0
-    threshold: float = 0.5
-    stratified: bool = True
+    lambda_pmf: float = LossConfig.lambda_pmf
+    lambda_nmf: float = LossConfig.lambda_nmf
+    threshold: float = LossConfig.threshold
     seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
         if self.rays_per_step < 1:
             raise ConfigError("rays_per_step must be positive")
 
     def loss_config(self) -> LossConfig:
         return LossConfig.from_names(
-            self.losses, self.lambda_pmf, self.lambda_nmf, self.threshold
+            self.losses,
+            lambda_pmf=self.lambda_pmf,
+            lambda_nmf=self.lambda_nmf,
+            threshold=self.threshold,
         )
 
 
-@dataclass(frozen=True)
-class RefineConfig:
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(OptimConfig):
+    learning_rate: float = 5e-4
+    epochs: int = 20
+    steps_per_epoch: int | None = None  # None: one full sweep over all pixels
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.epochs < 0:
+            raise ConfigError("epochs must be non-negative")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RefineConfig(OptimConfig):
+    learning_rate: float = 1e-3
     frames: tuple[int, ...]
     neighbors: int = 0
     steps: int = 300
-    learning_rate: float = 5e-4
-    rays_per_step: int = 2048
-    n_samples: int = 24
-    losses: tuple[str, ...] = ("rgb", "pmf", "nmf")
-    lambda_pmf: float = 1.1
-    lambda_nmf: float = 1.0
-    threshold: float = 0.5
-    stratified: bool = True
-    seed: int = 0
-    workers: int = 1
     guard_every: int = 25
-    probe_rays: int = 4096
 
-    def loss_config(self) -> LossConfig:
-        return LossConfig.from_names(
-            self.losses, self.lambda_pmf, self.lambda_nmf, self.threshold
-        )
+
+PROBE_RAYS = 4096  # size of the fixed batch on which refinement guards its loss
 
 
 def neighbor_frames(t_i: int, window: int, n_frames: int) -> list[int]:
@@ -197,7 +197,7 @@ def train(params: LayeredFieldParams, dataset, cfg: TrainConfig):
         for step in range(steps_per_epoch):
             ids = perm[step * cfg.rays_per_step : (step + 1) * cfg.rays_per_step]
             batch = dataset.ray_batch(
-                ids, cfg.n_samples, cfg.stratified, seed=[cfg.seed, 13, epoch, step]
+                ids, cfg.n_samples, stratified=True, seed=[cfg.seed, 13, epoch, step]
             )
             report, grads = total_loss_and_gradients(
                 params, batch, loss_cfg, workers=cfg.workers
@@ -244,8 +244,8 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
     opt = Adam(trainable, cfg.learning_rate, block_lr=DEFAULT_BLOCK_LR)
 
     probe_rng = np.random.default_rng([cfg.seed, 17])
-    probe_ids = probe_rng.choice(pool, size=min(cfg.probe_rays, pool.size), replace=False)
-    probe_batch = dataset.ray_batch(probe_ids, cfg.n_samples, False, seed=[cfg.seed, 19])
+    probe_ids = probe_rng.choice(pool, size=min(PROBE_RAYS, pool.size), replace=False)
+    probe_batch = dataset.ray_batch(probe_ids, cfg.n_samples)
 
     def probe_loss() -> float:
         report, _ = total_loss_and_gradients(
@@ -269,7 +269,7 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
             rng = np.random.default_rng([cfg.seed, 23, step])
             ids = rng.choice(pool, size=min(cfg.rays_per_step, pool.size), replace=False)
             batch = dataset.ray_batch(
-                ids, cfg.n_samples, cfg.stratified, seed=[cfg.seed, 29, step]
+                ids, cfg.n_samples, stratified=True, seed=[cfg.seed, 29, step]
             )
             report, grads = total_loss_and_gradients(
                 params, batch, loss_cfg, cfg.workers, wrt=trainable

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from layermotion.errors import DomainError
+
 
 def naive_softplus(x):
     if x > 30.0:
@@ -159,3 +161,56 @@ def naive_average_precision(scores, gt):
             hits += 1
             precisions.append(hits / rank)
     return sum(precisions) / len(precisions)
+
+
+def naive_slab(origin, march, lo, hi):
+    """(enter, exit) of origin + march * tau through the box, one axis at a time."""
+    enter, exit_ = -math.inf, math.inf
+    for a in range(3):
+        if march[a] == 0.0:
+            if not lo[a] <= origin[a] <= hi[a]:
+                return math.inf, -math.inf
+            continue
+        t0 = (lo[a] - origin[a]) / march[a]
+        t1 = (hi[a] - origin[a]) / march[a]
+        enter = max(enter, min(t0, t1))
+        exit_ = min(exit_, max(t0, t1))
+    return enter, exit_
+
+
+def camera_to_world(pose, x_cam):
+    """Inverse of the world-to-camera map x_cam = R @ x + t."""
+    return (np.asarray(x_cam, dtype=np.float64) - pose.translation) @ pose.rotation
+
+
+def psnr(a, b) -> float:
+    """Peak signal-to-noise ratio between two [0, 1] images."""
+    mse = float(np.mean((np.asarray(a) - np.asarray(b)) ** 2))
+    if mse == 0.0:
+        return np.inf
+    return -10.0 * np.log10(mse)
+
+
+def rgb_loss(pred, target, uncertainty) -> float:
+    """Self-calibrated reconstruction loss, averaged over the pixel batch."""
+    uncertainty = np.asarray(uncertainty, dtype=np.float64)
+    if np.any(uncertainty <= 0.0):
+        raise DomainError("uncertainty must be positive")
+    err = np.sum((np.asarray(pred) - np.asarray(target)) ** 2, axis=-1)
+    return float(np.mean(err / (2.0 * uncertainty**2) + np.log(uncertainty**2)))
+
+
+def pmf_loss(pred_mask_dy, mask_values, lambda_pmf=1.1) -> float:
+    """Squared pull of the rendered dynamic mask toward the soft 2D label."""
+    d = np.asarray(pred_mask_dy, dtype=np.float64) - np.asarray(mask_values)
+    return float(lambda_pmf * np.mean(d**2))
+
+
+def nmf_loss(pred_mask_ss, mask_binary, lambda_nmf=1.0) -> float:
+    """Penalty on the semi-static mask over labeled-dynamic pixels; 0 if none."""
+    mask_binary = np.asarray(mask_binary, dtype=bool)
+    count = int(mask_binary.sum())
+    if count == 0:
+        return 0.0
+    v = np.asarray(pred_mask_ss, dtype=np.float64)[mask_binary]
+    return float(lambda_nmf * np.sum(v**2) / count)

@@ -1,3 +1,4 @@
+import shutil
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,43 @@ class TestMissingArtifacts:
         ckpt.write_bytes(ckpt.read_bytes()[:-1])
         assert run(["render", "--workspace", ws, "--frames", "0"]) == 3
         assert "cut short" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def mini_ws(tmp_path_factory):
+    """A finished mini pipeline; tests that change it work on a copy."""
+    ws = tmp_path_factory.mktemp("mini") / "ws"
+    run_pipeline(ws, seed=3)
+    return ws
+
+
+class TestFrameRange:
+    @pytest.mark.parametrize("sub", ["render", "eval", "refine"])
+    @pytest.mark.parametrize("frames", ["99", "-1", "0,6"])
+    def test_out_of_range_frames_are_config_errors(self, mini_ws, capsys, sub, frames):
+        assert run([sub, "--workspace", mini_ws, f"--frames={frames}"] + TINY) == 2
+        assert "outside [0, 6)" in capsys.readouterr().err
+
+
+class TestBadSidecar:
+    @staticmethod
+    def cut_sidecars(mini_ws, tmp_path):
+        ws = tmp_path / "ws"
+        shutil.copytree(mini_ws, ws)
+        for sidecar in (ws / "checkpoints").glob("*.lmf.json"):
+            sidecar.write_bytes(sidecar.read_bytes()[:40])
+        return ws
+
+    def test_render(self, mini_ws, tmp_path, capsys):
+        ws = self.cut_sidecars(mini_ws, tmp_path)
+        assert run(["render", "--workspace", ws, "--frames", "0"] + TINY) == 3
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_eval_of_existing_renders(self, mini_ws, tmp_path, capsys):
+        ws = self.cut_sidecars(mini_ws, tmp_path)
+        assert (ws / "renders" / "mask_dy_0000.f64").exists()
+        assert run(["eval", "--workspace", ws] + TINY) == 3
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_numerical_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch):

@@ -9,11 +9,10 @@ from layermotion.evalkit import (
     analyze_pseudo_masks,
     average_precision,
     evaluate,
-    psnr,
 )
 from layermotion.scenegen import GroundTruth
 
-from naive_ref import naive_average_precision
+from naive_ref import naive_average_precision, psnr
 
 
 class TestAveragePrecision:

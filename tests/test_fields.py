@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,20 +10,16 @@ from layermotion.fields import (
     PARTITION,
     FieldConfig,
     FrustumSpec,
-    TemporalCode,
     _corner_weights,
     _scatter,
     backward_eval_layers,
-    eval_layers,
     eval_layers_batch,
     fourier_rows,
     init_params,
     load_checkpoint,
-    parameter_partition,
     save_checkpoint,
     softplus,
     softplus_inv,
-    time_code,
     zero_params,
 )
 
@@ -70,30 +69,43 @@ def sample_points(cfg, n, seed=0):
     return pts, pts_cam, t_idx
 
 
+def eval_one(params, x, x_cam, t):
+    """Per-layer (sigma, color, beta) at one world point and one camera point."""
+    sigma, color, beta = eval_layers_batch(
+        params, np.array([x], dtype=float), np.array([x_cam], dtype=float), np.array([t])
+    )
+    return sigma[0], color[0], beta[0]
+
+
 class TestTemporalCode:
+    """Per-frame codes are rows of code_table: a coefficient block times the basis."""
+
     def test_zero_coefficients(self):
         params = zero_params(small_config())
-        for t in range(5):
-            np.testing.assert_array_equal(time_code(params, t), np.zeros(4))
+        for which in ("ss", "dy"):
+            np.testing.assert_array_equal(params.code_table(which), np.zeros((5, 4)))
 
     def test_rank_one_constant(self):
-        basis = np.zeros((1, 6))
-        basis[0, 0] = 1.0
-        tc = TemporalCode(coeffs=np.ones((4, 1)), basis=basis, split=1)
+        params = zero_params(small_config(code_rank=1, code_dim=6, n_frames=4))
+        params.blocks["code_ss"][...] = 1.0
+        table = params.code_table("ss")
         for t in range(4):
-            np.testing.assert_array_equal(tc.row(t), [1, 0, 0, 0, 0, 0])
+            np.testing.assert_allclose(table[t], np.full(6, 1.0 / np.sqrt(6.0)), atol=1e-15)
+            np.testing.assert_array_equal(table[t], table[0])
 
     def test_matches_naive_triple_loop(self):
-        rng = np.random.default_rng(2)
-        coeffs = rng.standard_normal((6, 3))
-        basis = rng.standard_normal((3, 7))
-        tc = TemporalCode(coeffs=coeffs, basis=basis, split=2)
-        for t in range(6):
-            expected = np.zeros(7)
-            for d in range(7):
-                for p in range(3):
-                    expected[d] += coeffs[t, p] * basis[p, d]
-            np.testing.assert_allclose(tc.row(t), expected, atol=1e-12)
+        cfg = small_config()
+        params = randomized_params(cfg, seed=2)
+        basis = fourier_rows(cfg.code_rank, cfg.code_dim)
+        for which in ("ss", "dy"):
+            coeffs = params.blocks[f"code_{which}"]
+            table = params.code_table(which)
+            for t in range(cfg.n_frames):
+                expected = np.zeros(cfg.code_dim)
+                for d in range(cfg.code_dim):
+                    for p in range(cfg.code_rank):
+                        expected[d] += coeffs[t, p] * basis[p, d]
+                np.testing.assert_allclose(table[t], expected, atol=1e-12)
 
     def test_linearity_in_coefficients(self):
         cfg = small_config()
@@ -107,15 +119,16 @@ class TestTemporalCode:
             p1.blocks[name][...] = a
             p2.blocks[name][...] = b
             p3.blocks[name][...] = 2.0 * a + 3.0 * b
-        for t in range(cfg.n_frames):
-            lhs = time_code(p3, t)
-            rhs = 2.0 * time_code(p1, t) + 3.0 * time_code(p2, t)
+        for which in ("ss", "dy"):
+            lhs = p3.code_table(which)
+            rhs = 2.0 * p1.code_table(which) + 3.0 * p2.code_table(which)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_out_of_range_frame(self):
         params = zero_params(small_config())
-        with pytest.raises(DomainError):
-            time_code(params, 5)
+        for t in (5, -1):
+            with pytest.raises(DomainError):
+                eval_one(params, [0.1, 0.2, 0.3], [0.0, 0.0, -1.0], t)
 
     def test_fourier_rows_shape_and_norm(self):
         f = fourier_rows(4, 8)
@@ -127,23 +140,21 @@ class TestEvalLayers:
     def test_constant_zero_initialization(self):
         cfg = small_config()
         params = zero_params(cfg)
-        out = eval_layers(params, [0.1, -0.2, 0.3], [0.05, 0.02, -1.0], [0, 0, 1], 2)
-        for key in ("static", "semi_static", "dynamic"):
-            sigma, color, beta = out[key]
-            assert sigma == pytest.approx(softplus(0.0), abs=1e-12)
-            np.testing.assert_allclose(color, 0.5, atol=1e-12)
-            assert beta == pytest.approx(softplus(0.0) + cfg.beta_min, abs=1e-12)
+        sigma, color, beta = eval_one(params, [0.1, -0.2, 0.3], [0.05, 0.02, -1.0], 2)
+        for layer in range(3):
+            assert sigma[layer] == pytest.approx(softplus(0.0), abs=1e-12)
+            np.testing.assert_allclose(color[layer], 0.5, atol=1e-12)
+            assert beta[layer] == pytest.approx(softplus(0.0) + cfg.beta_min, abs=1e-12)
 
     def test_out_of_support(self):
         cfg = small_config()
         params = randomized_params(cfg)
-        out = eval_layers(params, [9.0, 9.0, 9.0], [0.05, 0.02, -1.0], [0, 0, 1], 1)
-        assert out["static"][0] == 0.0
-        assert out["semi_static"][0] == 0.0
-        assert out["dynamic"][0] > 0.0  # camera point is inside the frustum
-        out2 = eval_layers(params, [9.0, 9.0, 9.0], [0.0, 0.0, 9.0], [0, 0, 1], 1)
-        assert out2["dynamic"][0] == 0.0  # behind the camera
-
+        sigma, _, _ = eval_one(params, [9.0, 9.0, 9.0], [0.05, 0.02, -1.0], 1)
+        assert sigma[0] == 0.0  # static
+        assert sigma[1] == 0.0  # semi-static
+        assert sigma[2] > 0.0  # dynamic: the camera point is inside the frustum
+        sigma, _, _ = eval_one(params, [9.0, 9.0, 9.0], [0.0, 0.0, 9.0], 1)
+        assert sigma[2] == 0.0  # behind the camera
     def test_matches_eight_corner_oracle(self):
         cfg = small_config()
         params = randomized_params(cfg, seed=4)
@@ -244,9 +255,8 @@ class TestBackwardSubset:
         )
         return params, cache, upstream
 
-    @pytest.mark.parametrize("learn_basis", [False, True])
-    def test_time_dependent_blocks_match_full_call(self, learn_basis):
-        params, cache, upstream = self.cached_eval(small_config(learn_basis=learn_basis), 20)
+    def test_time_dependent_blocks_match_full_call(self):
+        params, cache, upstream = self.cached_eval(small_config(), 20)
         full = backward_eval_layers(params, cache, *upstream)
         assert set(full) == set(BLOCK_NAMES)
         wrt = PARTITION["ss"] + PARTITION["dy"]
@@ -270,12 +280,13 @@ class TestBackwardSubset:
 
 class TestParameterPartition:
     def test_partition_complete_and_disjoint(self):
-        params = randomized_params(small_config())
-        st, ss, dy = parameter_partition(params)
-        names = list(st) + list(ss) + list(dy)
+        names = [n for part in ("st", "ss", "dy") for n in PARTITION[part]]
+        assert len(set(names)) == len(names)
         assert sorted(names) == sorted(BLOCK_NAMES)
+        params = randomized_params(small_config())
+        assert set(params.blocks) == set(BLOCK_NAMES)
         total = sum(v.size for v in params.blocks.values())
-        assert sum(v.size for part in (st, ss, dy) for v in part.values()) == total
+        assert sum(params.blocks[n].size for n in names) == total
 
     def test_dynamic_perturbation_isolated(self):
         cfg = small_config()
@@ -372,24 +383,80 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-class TestLearnBasisMode:
-    def test_switch_produces_codes(self):
-        cfg = small_config(learn_basis=True)
-        params = init_params(cfg, seed=0)
-        assert params.blocks["code_ss"].shape == (cfg.code_rank, cfg.code_dim)
-        z = time_code(params, 2)
-        assert z.shape == (cfg.code_dim,)
-        tc = params.temporal_code
-        assert tc.coeffs.shape == (cfg.n_frames, 2 * cfg.code_rank)
+def write_lmf(path, blocks):
+    """An LMF1 container holding exactly `blocks`, independent of save_checkpoint."""
+    with open(path, "wb") as fh:
+        fh.write(b"LMF1" + struct.pack("<I", len(blocks)))
+        for name, arr in blocks.items():
+            fh.write(struct.pack("<H", len(name)) + name.encode("ascii"))
+            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(np.asarray(arr, dtype="<f8").tobytes())
 
-    def test_smoothness_of_fixed_coefficients(self):
-        # In this mode the per-frame factor is a fixed sampled sinusoid, so
-        # consecutive frames have nearby codes.
-        cfg = small_config(learn_basis=True, n_frames=32)
-        params = init_params(cfg, seed=1)
-        codes = np.stack([time_code(params, t) for t in range(32)])
-        diffs = np.linalg.norm(np.diff(codes, axis=0), axis=1)
-        assert diffs.max() < np.linalg.norm(codes, axis=1).max()
+
+class TestCheckpointValidation:
+    """Malformed sidecars and block sets raise DataError, one case each."""
+
+    @staticmethod
+    def saved(tmp_path):
+        params = randomized_params(small_config(), seed=17)
+        path = tmp_path / "model.lmf"
+        save_checkpoint(params, path, meta={"losses": ["rgb"]})
+        sidecar = tmp_path / "model.lmf.json"
+        return params, path, sidecar, json.loads(sidecar.read_text())
+
+    def test_sidecar_cut_short_is_invalid_json(self, tmp_path):
+        _, path, sidecar, _ = self.saved(tmp_path)
+        sidecar.write_bytes(sidecar.read_bytes()[:40])
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_checkpoint(path)
+
+    def test_sidecar_without_config(self, tmp_path):
+        _, path, sidecar, _ = self.saved(tmp_path)
+        sidecar.write_text(json.dumps({"format": "LMF1"}))
+        with pytest.raises(DataError, match="no 'config'"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key(self, tmp_path):
+        # Sidecars written while the field had a learned-basis mode carry its flag.
+        _, path, sidecar, doc = self.saved(tmp_path)
+        doc["config"]["learn_basis"] = False
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="unknown keys \\['learn_basis'\\]"):
+            load_checkpoint(path)
+
+    def test_missing_config_key(self, tmp_path):
+        _, path, sidecar, doc = self.saved(tmp_path)
+        del doc["config"]["frustum"]["far"]
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="missing keys \\['far'\\]"):
+            load_checkpoint(path)
+
+    def test_extra_block(self, tmp_path):
+        params, path, _, _ = self.saved(tmp_path)
+        write_lmf(path, {**params.blocks, "bogus": np.zeros(2)})
+        with pytest.raises(DataError, match="unexpected blocks \\['bogus'\\]"):
+            load_checkpoint(path)
+
+    def test_missing_block(self, tmp_path):
+        params, path, _, _ = self.saved(tmp_path)
+        write_lmf(path, {k: v for k, v in params.blocks.items() if k != "code_dy"})
+        with pytest.raises(DataError, match="missing blocks \\['code_dy'\\]"):
+            load_checkpoint(path)
+
+    def test_block_shape_disagrees_with_config(self, tmp_path):
+        _, path, sidecar, doc = self.saved(tmp_path)
+        doc["config"]["grid_res"] = 7
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="block 'phi0' has shape"):
+            load_checkpoint(path)
+
+    def test_independent_writer_round_trips(self, tmp_path):
+        params, path, _, _ = self.saved(tmp_path)
+        write_lmf(path, params.blocks)
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"losses": ["rgb"]}
+        for name in BLOCK_NAMES:
+            np.testing.assert_array_equal(loaded.blocks[name], params.blocks[name])
 
 
 def test_config_validation():

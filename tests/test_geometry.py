@@ -7,14 +7,18 @@ from layermotion.errors import DataError, DomainError
 from layermotion.geometry import (
     CameraPose,
     Ray,
-    camera_to_world,
+    camera_rays,
     clip_ray_to_box,
     load_cameras,
     look_at,
+    pixel_directions,
     ray_through_pixel,
     save_cameras,
+    slab_interval,
     world_to_camera,
 )
+
+from naive_ref import camera_to_world, naive_slab
 
 
 def random_rotation(rng):
@@ -149,6 +153,78 @@ class TestClipRayToBox:
         ray = Ray(origin=np.array([5.0, 5.0, 5.0]), direction=np.array([0.0, 0.0, 1.0]))
         with pytest.raises(DomainError):
             clip_ray_to_box(ray, (-1, -1, -1), (1, 1, 1))
+
+
+class TestSlabInterval:
+    LO = np.array([-1.0, -0.5, 0.0])
+    HI = np.array([1.0, 0.5, 2.0])
+
+    def check(self, origins, march):
+        origins = np.asarray(origins, dtype=np.float64)
+        march = np.asarray(march, dtype=np.float64)
+        enter, exit_ = slab_interval(origins, march, self.LO, self.HI)
+        assert enter.shape == exit_.shape == march.shape[:-1]
+        for i in np.ndindex(march.shape[:-1]):
+            o = origins if origins.ndim == 1 else origins[i]
+            ref = naive_slab(o, march[i], self.LO, self.HI)
+            np.testing.assert_allclose((enter[i], exit_[i]), ref, rtol=1e-14, atol=0)
+        return enter, exit_
+
+    def test_axis_parallel_signed_zeros(self):
+        # Rays along +-x with +0.0 and -0.0 in the other components: one
+        # inside the y/z slabs, one outside the y slab.
+        march = np.array([[1.0, 0.0, -0.0], [-1.0, -0.0, 0.0], [1.0, -0.0, -0.0]])
+        enter, exit_ = self.check(np.array([0.0, 0.0, 1.0]), march)
+        np.testing.assert_array_equal(enter, [-1.0, -1.0, -1.0])
+        np.testing.assert_array_equal(exit_, [1.0, 1.0, 1.0])
+        enter, exit_ = self.check(np.array([0.0, 0.7, 1.0]), march)
+        assert np.all(enter == np.inf) and np.all(exit_ == -np.inf)
+
+    def test_origins_on_a_face(self):
+        origins = np.array([[1.0, 0.0, 1.0], [0.0, -0.5, 1.0], [0.0, 0.0, 2.0], [0.0, 0.5, 0.0]])
+        march = np.array([[-1.0, 0.0, 0.0], [0.0, 1.0, -0.0], [0.3, 0.0, -0.9], [1.0, 0.0, -0.0]])
+        enter, exit_ = self.check(origins, march)
+        np.testing.assert_array_equal(enter[:3], [0.0, 0.0, 0.0])
+        assert exit_[3] == 1.0  # grazing the y = 0.5 face counts as inside
+
+    def test_origins_inside(self):
+        rng = np.random.default_rng(0)
+        origins = rng.uniform(self.LO, self.HI, (50, 3))
+        march = rng.standard_normal((50, 3))
+        enter, exit_ = self.check(origins, march)
+        assert np.all(enter < 0.0) and np.all(exit_ > 0.0)
+
+    def test_misses(self):
+        rng = np.random.default_rng(1)
+        origins = rng.uniform(3.0, 4.0, (50, 3))  # beyond every upper face
+        march = rng.uniform(0.1, 1.0, (50, 3))  # marching further away
+        enter, exit_ = self.check(origins, march)
+        assert np.all(exit_ < 0.0)
+
+    def test_broadcast_over_a_pixel_grid(self):
+        rng = np.random.default_rng(2)
+        march = rng.standard_normal((4, 5, 3))
+        march[0, :, 1] = 0.0
+        march[1, :, 2] = -0.0
+        self.check(np.array([0.2, 0.1, 0.4]), march)
+
+
+class TestPixelDirections:
+    def test_grid_matches_per_pixel_rays_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            pose = random_pose(rng)
+            _, nu, _, _ = camera_rays(pose, 9, 7, (-1.0,) * 3, (1.0,) * 3)
+            per_pixel = np.stack(
+                [ray_through_pixel(pose, (ix, iy)).direction for iy in range(7) for ix in range(9)]
+            )
+            np.testing.assert_array_equal(nu, per_pixel)
+
+    def test_unit_length_and_shape(self):
+        pose = random_pose(np.random.default_rng(19))
+        d = pixel_directions(pose, np.zeros((2, 3)), np.ones((2, 3)))
+        assert d.shape == (2, 3, 3)
+        np.testing.assert_allclose(np.linalg.norm(d, axis=-1), 1.0, atol=1e-15)
 
 
 class TestCameraCsv:

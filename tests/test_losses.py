@@ -4,16 +4,10 @@ import pytest
 from layermotion.errors import ConfigError, DomainError
 from layermotion.fields import BLOCK_NAMES, PARTITION
 from layermotion.geometry import look_at
-from layermotion.losses import (
-    LossConfig,
-    RayBatch,
-    nmf_loss,
-    pmf_loss,
-    rgb_loss,
-    total_loss_and_gradients,
-)
-from layermotion.renderer import sample_depths
+from layermotion.losses import LossConfig, RayBatch, total_loss_and_gradients
+from layermotion.renderer import render_batch, sample_depths
 
+from naive_ref import nmf_loss, pmf_loss, rgb_loss
 from test_fields import randomized_params, small_config
 
 
@@ -174,6 +168,19 @@ class TestTotalLossAndGradients:
                 fd = (lp.l_total - lm.l_total) / (2 * h)
                 a = grads[name].ravel()[i]
                 assert abs(a - fd) / max(abs(a), abs(fd), 1e-3) < 1e-4
+
+    def test_terms_match_scalar_oracles(self):
+        cfg = small_config()
+        params = randomized_params(cfg, seed=25)
+        batch = make_batch(cfg, n_rays=40, seed=26)
+        report, _ = total_loss_and_gradients(params, batch, LossConfig(), wrt=())
+        pts, pts_cam = batch.points(slice(None))
+        out = render_batch(params, pts, pts_cam, batch.deltas, batch.t_idx)
+        fused = batch.mask_values >= LossConfig().threshold
+        assert report.l_rgb == pytest.approx(
+            rgb_loss(out.color, batch.target_rgb, out.uncertainty), abs=1e-12)
+        assert report.l_pmf == pytest.approx(pmf_loss(out.mask_dy, batch.mask_values), abs=1e-12)
+        assert report.l_nmf == pytest.approx(nmf_loss(out.mask_ss, fused), abs=1e-12)
 
     def test_batch_duplication_invariance(self):
         cfg = small_config()

@@ -128,6 +128,21 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=-1)
 
+    def test_refine_config_shares_the_checks(self):
+        with pytest.raises(ConfigError):
+            RefineConfig(frames=(0,), learning_rate=0.0)
+        with pytest.raises(ConfigError):
+            RefineConfig(frames=(0,), rays_per_step=0)
+
+    def test_loss_defaults_have_one_source(self):
+        from layermotion.losses import LossConfig
+
+        for cfg in (TrainConfig(), RefineConfig(frames=(0,))):
+            assert cfg.loss_config() == LossConfig()
+        assert LossConfig.from_names(["rgb", " pmf", "nmf", ""]) == LossConfig()
+        with pytest.raises(ConfigError):
+            LossConfig.from_names(["rgb", "bogus"])
+
     def test_log_row_columns(self, tiny_dataset):
         params = init_params(tiny_dataset.field_config(), seed=0)
         _, log = train(params, tiny_dataset, TrainConfig(**TINY_TRAIN))
@@ -200,8 +215,9 @@ def test_refinement_on_eval_frames_improves_dyn_map(bench_runs):
 
 @pytest.mark.slow
 def test_rgb_training_improves_psnr_by_5db(bench_dataset, bench_runs):
-    from layermotion.evalkit import psnr
     from layermotion.renderer import render_frame
+
+    from naive_ref import psnr
 
     ds = bench_dataset
     fresh = init_params(ds.field_config(), seed=0)
