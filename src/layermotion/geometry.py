@@ -160,12 +160,12 @@ def camera_rays(pose: CameraPose, width: int, height: int, world_lo, world_hi):
     Flattened row-major over pixels: index iy * width + ix.
     """
     uy, ux = np.mgrid[0:height, 0:width].astype(np.float64)
-    nu = -pixel_directions(pose, ux, uy).reshape(-1, 3)
+    march = pixel_directions(pose, ux, uy).reshape(-1, 3)
     origin = pose.center
-    enter, exit_ = slab_interval(origin, -nu, world_lo, world_hi)
+    enter, exit_ = slab_interval(origin, march, world_lo, world_hi)
     t_near = np.maximum(enter, NEAR_EPS)
     t_far = np.maximum(exit_, t_near + MIN_SPAN)
-    return origin, nu, t_near, t_far
+    return origin, -march, t_near, t_far
 
 
 def clip_ray_to_box(ray: Ray, lo, hi) -> Ray:
