@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import os
 import sys
@@ -24,8 +25,8 @@ import numpy as np
 from . import imgio
 from .dataset import Dataset, load_dataset, write_dataset
 from .errors import ConfigError, DataError, EngineError, MissingArtifactError, NumericalError
-from .evalkit import EvalReport, analyze_pseudo_masks, evaluate
-from .fields import init_params, load_checkpoint, read_sidecar, save_checkpoint
+from .evalkit import analyze_pseudo_masks, evaluate
+from .fields import FieldConfig, init_params, load_checkpoint, read_sidecar, save_checkpoint
 from .losses import LossConfig
 from .renderer import RENDER_SAMPLES, render_frame
 from .scenegen import (
@@ -39,52 +40,34 @@ from .scenegen import (
 )
 from .trainer import RefineConfig, TrainConfig, refine, train
 
-# Keys accepted in config files and their parsers.
-_CONFIG_KEYS = {
-    "scene": str,
-    "seed": int,
-    "workers": int,
-    "epochs": int,
-    "steps_per_epoch": int,
-    "rays_per_step": int,
-    "n_samples": int,
-    "lr": float,
-    "losses": str,
-    "lambda_pmf": float,
-    "lambda_nmf": float,
-    "threshold": float,
-    "recall": float,
-    "fpr": float,
-    "frames": str,
-    "neighbors": int,
-    "refine_steps": int,
-    "refine_lr": float,
-    "render_samples": int,
-    "grid_res": int,
-    "ss_grid_res": int,
-    "dyn_grid_res": int,
-    "label": str,
+# Every setting, as key -> (parser, default, help). The key is the config-file
+# key, and with '_' -> '-' the flag of every subcommand. Each default is read
+# from the dataclass or constant that owns it; None means unset.
+_SETTINGS = {
+    "scene": (str, BENCH_V1, "lmf-bench-v1 or mini:TxHxW"),
+    "seed": (int, TrainConfig.seed, None),
+    "workers": (int, None, "thread count (default: the CPU count)"),
+    "epochs": (int, TrainConfig.epochs, None),
+    "steps_per_epoch": (int, TrainConfig.steps_per_epoch, None),
+    "rays_per_step": (int, TrainConfig.rays_per_step, None),
+    "n_samples": (int, TrainConfig.n_samples, None),
+    "lr": (float, TrainConfig.learning_rate, None),
+    "losses": (str, ",".join(TrainConfig.losses), "subset of rgb,pmf,nmf"),
+    "lambda_pmf": (float, LossConfig.lambda_pmf, None),
+    "lambda_nmf": (float, LossConfig.lambda_nmf, None),
+    "threshold": (float, LossConfig.threshold, None),
+    "recall": (float, SceneConfig.recall, None),
+    "fpr": (float, SceneConfig.fpr, None),
+    "frames": (str, None, "comma-separated frame set"),
+    "neighbors": (int, RefineConfig.neighbors, "symmetric frame window"),
+    "refine_steps": (int, RefineConfig.steps, None),
+    "refine_lr": (float, RefineConfig.learning_rate, None),
+    "render_samples": (int, RENDER_SAMPLES, None),
+    "grid_res": (int, FieldConfig.grid_res, None),
+    "ss_grid_res": (int, FieldConfig.ss_grid_res, None),
+    "dyn_grid_res": (int, FieldConfig.dyn_grid_res, None),
+    "label": (str, None, None),
 }
-
-# Each default is read from the dataclass or constant that owns it.
-_DEFAULTS = dict(
-    scene=BENCH_V1,
-    seed=TrainConfig.seed,
-    epochs=TrainConfig.epochs,
-    rays_per_step=TrainConfig.rays_per_step,
-    n_samples=TrainConfig.n_samples,
-    lr=TrainConfig.learning_rate,
-    losses=",".join(TrainConfig.losses),
-    lambda_pmf=LossConfig.lambda_pmf,
-    lambda_nmf=LossConfig.lambda_nmf,
-    threshold=LossConfig.threshold,
-    recall=SceneConfig.recall,
-    fpr=SceneConfig.fpr,
-    neighbors=RefineConfig.neighbors,
-    refine_steps=RefineConfig.steps,
-    refine_lr=RefineConfig.learning_rate,
-    render_samples=RENDER_SAMPLES,
-)
 
 
 def read_config_file(path) -> dict:
@@ -100,24 +83,25 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected key = value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{ln}: unknown config key '{key}'")
         try:
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = _SETTINGS[key][0](value)
         except ValueError as e:
             raise ConfigError(f"{path}:{ln}: bad value for '{key}': {value!r}") from e
     return out
 
 
 def _settings(args) -> dict:
-    cfg = dict(_DEFAULTS)
+    """Table defaults, overridden by the config file, overridden by flags."""
+    cfg = {key: default for key, (_, default, _) in _SETTINGS.items()}
     if args.config:
         cfg.update(read_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    for key in _SETTINGS:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
-    if "workers" not in cfg or cfg.get("workers") is None:
+    if cfg["workers"] is None:
         cfg["workers"] = os.cpu_count() or 1
     return cfg
 
@@ -186,26 +170,9 @@ def _scene_config(cfg: dict) -> SceneConfig:
         base = SceneConfig(name=name, n_frames=t, height=h, width=w, seed=cfg["seed"], eval_stride=max(t // 8, 1))
     else:
         raise ConfigError(f"unknown scene '{name}'")
-    return SceneConfig(
-        **{
-            **base.__dict__,
-            "recall": cfg["recall"],
-            "fpr": cfg["fpr"],
-            "threshold": cfg["threshold"],
-        }
+    return dataclasses.replace(
+        base, recall=cfg["recall"], fpr=cfg["fpr"], threshold=cfg["threshold"]
     )
-
-
-def _load_dataset(ws: Workspace) -> Dataset:
-    return load_dataset(ws.dataset_dir)
-
-
-def _field_config(ds: Dataset, cfg: dict):
-    overrides = {}
-    for key in ("grid_res", "ss_grid_res", "dyn_grid_res"):
-        if key in cfg:
-            overrides[key] = cfg[key]
-    return ds.field_config(**overrides)
 
 
 def _optim_settings(cfg: dict) -> dict:
@@ -253,16 +220,19 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
-    ds = _load_dataset(ws)
+    ds = load_dataset(ws.dataset_dir)
     tc = TrainConfig(
         epochs=cfg["epochs"],
         learning_rate=cfg["lr"],
-        steps_per_epoch=cfg.get("steps_per_epoch"),
+        steps_per_epoch=cfg["steps_per_epoch"],
         **_optim_settings(cfg),
     )
     if tc.epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    params = init_params(_field_config(ds, cfg), seed=cfg["seed"])
+    field_cfg = ds.field_config(
+        grid_res=cfg["grid_res"], ss_grid_res=cfg["ss_grid_res"], dyn_grid_res=cfg["dyn_grid_res"]
+    )
+    params = init_params(field_cfg, seed=cfg["seed"])
     log_path = ws.dir("reports") / "training_log.csv"
     try:
         params, log = train(params, ds, tc)
@@ -290,12 +260,12 @@ def _write_log(path, log_rows) -> None:
 def cmd_refine(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
-    ds = _load_dataset(ws)
+    ds = load_dataset(ws.dataset_dir)
     ckpt_in = ws.root / "checkpoints" / "model.lmf"
     if not ckpt_in.exists():
         raise MissingArtifactError(f"checkpoint not found: {ckpt_in} (run train first)")
     params, meta = load_checkpoint(ckpt_in)
-    frames = _parse_frames(cfg.get("frames"), ds)
+    frames = _parse_frames(cfg["frames"], ds)
     rc = RefineConfig(
         frames=frames,
         neighbors=cfg["neighbors"],
@@ -326,10 +296,10 @@ def _pick_checkpoint(ws: Workspace) -> Path:
 def cmd_render(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
-    ds = _load_dataset(ws)
+    ds = load_dataset(ws.dataset_dir)
     ckpt = _pick_checkpoint(ws)
     params, meta = load_checkpoint(ckpt)
-    frames = _parse_frames(cfg.get("frames"), ds)
+    frames = _parse_frames(cfg["frames"], ds)
     out_dir = ws.dir("renders")
     created = []
     for t in frames:
@@ -382,9 +352,9 @@ def _predictions_from_pgm_dir(pred_dir: Path, frames, shape):
 def cmd_eval(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
-    ds = _load_dataset(ws)
-    frames = _parse_frames(cfg.get("frames"), ds)
-    label = cfg.get("label") or ""
+    ds = load_dataset(ws.dataset_dir)
+    frames = _parse_frames(cfg["frames"], ds)
+    label = cfg["label"] or ""
     if args.pred_dir:
         preds = _predictions_from_pgm_dir(Path(args.pred_dir), frames, (ds.height, ds.width))
         label = label or "external"
@@ -418,21 +388,17 @@ def cmd_eval(args) -> int:
             label = label or _label(meta)
     report = evaluate(preds, ds, frames, label=label)
     out_dir = ws.dir("reports")
-    artifacts = []
-    if ds.pseudo is not None:
-        masks = [
-            MotionMask(values=ds.pseudo[t], frame_index=t, threshold=cfg["threshold"])
-            for t in range(ds.n_frames)
-        ]
-        curves = analyze_pseudo_masks(masks, ds)
-        report = EvalReport(**{**report.__dict__, "curves": tuple(curves)})
-        curves_path = out_dir / "pseudo_curves.csv"
-        with open(curves_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["threshold", "precision", "recall", "fpr", "fnr"])
-            for row in curves:
-                w.writerow([f"{row[k]:.6f}" for k in ("threshold", "precision", "recall", "fpr", "fnr")])
-        artifacts.append(curves_path)
+    # A loaded dataset always has pseudo-labels; score their quality too.
+    masks = [
+        MotionMask(values=ds.pseudo[t], frame_index=t, threshold=cfg["threshold"])
+        for t in range(ds.n_frames)
+    ]
+    quality_path = out_dir / "pseudo_curves.csv"
+    with open(quality_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["threshold", "precision", "recall", "fpr", "fnr"])
+        for row in analyze_pseudo_masks(masks, ds):
+            w.writerow([f"{row[k]:.6f}" for k in ("threshold", "precision", "recall", "fpr", "fnr")])
     csv_path = out_dir / "eval.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -442,7 +408,7 @@ def cmd_eval(args) -> int:
     table = report.summary_table()
     summary_path = out_dir / "summary.txt"
     summary_path.write_text(table + "\n")
-    ws.record("eval", "report", [csv_path, summary_path] + artifacts)
+    ws.record("eval", "report", [csv_path, summary_path, quality_path])
     print(table)
     return 0
 
@@ -464,27 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         p.add_argument("--workspace", type=str, required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--scene", type=str, default=None)
-        p.add_argument("--frames", type=str, default=None, help="comma-separated frame set")
-        p.add_argument("--neighbors", type=int, default=None, help="symmetric frame window")
-        p.add_argument("--losses", type=str, default=None, help="subset of rgb,pmf,nmf")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--lambda-pmf", dest="lambda_pmf", type=float, default=None)
-        p.add_argument("--lambda-nmf", dest="lambda_nmf", type=float, default=None)
-        p.add_argument("--threshold", type=float, default=None)
-        p.add_argument("--steps-per-epoch", dest="steps_per_epoch", type=int, default=None)
-        p.add_argument("--rays-per-step", dest="rays_per_step", type=int, default=None)
-        p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-        p.add_argument("--recall", type=float, default=None)
-        p.add_argument("--fpr", type=float, default=None)
-        p.add_argument("--refine-steps", dest="refine_steps", type=int, default=None)
-        p.add_argument("--refine-lr", dest="refine_lr", type=float, default=None)
-        p.add_argument("--render-samples", dest="render_samples", type=int, default=None)
-        p.add_argument("--grid-res", dest="grid_res", type=int, default=None)
-        p.add_argument("--label", type=str, default=None)
+        for key, (parse, _, help_text) in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, help=help_text)
         if name == "eval":
             p.add_argument("--pred-dir", type=str, default=None,
                            help="score external PGM mask predictions instead of renders")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,18 +215,47 @@ def write_dataset(
     return created
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _read_meta(path: Path) -> dict:
+    """meta.json, checked for every key that loading and ray building read."""
+    if not path.exists():
+        raise MissingArtifactError(f"dataset meta not found: {path}")
+    try:
+        meta = json.loads(path.read_bytes())
+    except ValueError as e:
+        raise DataError(f"{path}: not valid JSON") from e
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    t_total = meta.get("n_frames")
+    if not _is_int(t_total) or t_total < 1:
+        raise DataError(f"{path}: n_frames must be a positive integer, got {t_total!r}")
+    for key in ("world_lo", "world_hi"):
+        box = meta.get(key)
+        if not (isinstance(box, list) and len(box) == 3 and all(_is_finite_number(v) for v in box)):
+            raise DataError(f"{path}: {key} must be a list of 3 finite numbers, got {box!r}")
+    frames = meta.get("eval_frames", [])
+    if not (isinstance(frames, list) and all(_is_int(t) and 0 <= t < t_total for t in frames)):
+        raise DataError(f"{path}: eval_frames must be frame indices in [0, {t_total})")
+    return meta
+
+
 def load_dataset(root) -> Dataset:
+    """Read a dataset tree; malformed files raise DataError, absent ones MissingArtifactError."""
     root = Path(root)
-    meta_path = root / "meta.json"
-    if not meta_path.exists():
-        raise MissingArtifactError(f"dataset meta not found: {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    t_total = meta["n_frames"]
+    meta = _read_meta(root / "meta.json")
     rgb = []
     mask_dyn = []
     mask_ss = []
     pseudo = []
-    for t in range(t_total):
+    shape = None  # (H, W) of the first frame; every image must match it
+    for t in range(meta["n_frames"]):
         for kind, store in (
             (root / "frames" / f"frame_{t:04d}.ppm", rgb),
             (root / "masks" / f"dyn_{t:04d}.pgm", mask_dyn),
@@ -234,7 +264,14 @@ def load_dataset(root) -> Dataset:
         ):
             if not kind.exists():
                 raise MissingArtifactError(f"dataset file not found: {kind}")
-            store.append(imgio.read_ppm(kind) if kind.suffix == ".ppm" else imgio.read_pgm(kind))
+            img = imgio.read_ppm(kind) if kind.suffix == ".ppm" else imgio.read_pgm(kind)
+            shape = shape or img.shape[:2]
+            if img.shape[:2] != shape:
+                raise DataError(
+                    f"{kind}: image is {img.shape[1]}x{img.shape[0]}, "
+                    f"the first frame is {shape[1]}x{shape[0]}"
+                )
+            store.append(img)
     poses = load_cameras(root / "cameras.csv")
     return Dataset(
         rgb=np.stack(rgb),

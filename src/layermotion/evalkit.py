@@ -47,9 +47,6 @@ class EvalReport:
     per_frame: dict[str, dict[int, float]]  # category -> frame -> AP
     skipped: dict[str, list[int]]  # frames without positives, per category
     label: str = ""
-    # Optional pseudo-label quality curves (precision/recall/FPR/FNR rows per
-    # threshold, from analyze_pseudo_masks) when the caller attaches them.
-    curves: tuple[dict, ...] | None = None
 
     def as_rows(self) -> list[dict]:
         """Flat rows for CSV emission: one per frame per category plus summaries."""

@@ -11,6 +11,7 @@ Conventions, fixed once and asserted by round-trip tests:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -188,11 +189,11 @@ def clip_ray_to_box(ray: Ray, lo, hi) -> Ray:
     )
 
 
-def look_at(position, target, up=(0.0, 0.0, 1.0), **intrinsics) -> CameraPose:
-    """Pose at `position` viewing `target`, with the image up-axis near `up`."""
+def look_at(position, target, **intrinsics) -> CameraPose:
+    """Pose at `position` viewing `target`, with the image up-axis near world +z."""
     position = _as_vec3(position)
     target = _as_vec3(target)
-    up = _as_vec3(up)
+    up = np.array([0.0, 0.0, 1.0])
     fwd = target - position
     n = np.linalg.norm(fwd)
     if n < 1e-12:
@@ -201,7 +202,7 @@ def look_at(position, target, up=(0.0, 0.0, 1.0), **intrinsics) -> CameraPose:
     right = np.cross(fwd, up)
     rn = np.linalg.norm(right)
     if rn < 1e-12:
-        raise DomainError("up vector is parallel to the viewing direction")
+        raise DomainError("viewing direction is parallel to the z axis")
     right /= rn
     true_up = np.cross(right, fwd)
     # Rows of R are the camera axes expressed in world coordinates: x right,
@@ -233,19 +234,27 @@ def save_cameras(path, poses: Iterable[CameraPose]) -> None:
 
 
 def load_cameras(path) -> list[CameraPose]:
+    """Read a trajectory written by `save_cameras`; a malformed row raises DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"camera file not found: {path}")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"{path}: unreadable camera CSV: {e}") from e
+    if not rows or rows[0] != _CSV_HEADER:
+        raise DataError(f"unexpected camera CSV header in {path}")
     poses = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise DataError(f"unexpected camera CSV header in {path}")
-        for row in reader:
-            if not row:
-                continue
+    for n, row in enumerate(rows[1:], start=1):
+        if not row:
+            continue
+        if len(row) != len(_CSV_HEADER):
+            raise DataError(f"{path}: row {n} has {len(row)} fields, expected {len(_CSV_HEADER)}")
+        try:
             vals = [float(v) for v in row]
+            if not all(math.isfinite(v) for v in vals):
+                raise DomainError("non-finite value")
             poses.append(
                 CameraPose(
                     rotation=np.array(vals[1:10]).reshape(3, 3),
@@ -257,4 +266,6 @@ def load_cameras(path) -> list[CameraPose]:
                     frame_index=int(vals[0]),
                 )
             )
+        except (ValueError, DomainError) as e:
+            raise DataError(f"{path}: row {n}: {e}") from e
     return poses

@@ -60,6 +60,8 @@ def _read_pnm(path, magic: bytes) -> np.ndarray:
         j = i
         while j < len(data) and not data[j : j + 1].isspace():
             j += 1
+        if not data[i:j].isdigit():
+            raise DataError(f"{path}: header cut short or not a decimal size: {data[i:j][:16]!r}")
         tokens.append(int(data[i:j]))
         i = j
     i += 1  # single whitespace after maxval
@@ -67,9 +69,10 @@ def _read_pnm(path, magic: bytes) -> np.ndarray:
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PNM supported, maxval={maxval}")
     channels = 3 if magic == b"P6" else 1
-    raw = np.frombuffer(data, dtype=np.uint8, count=w * h * channels, offset=i)
-    if raw.size != w * h * channels:
+    count = w * h * channels
+    if len(data) - i < count:
         raise DataError(f"{path}: truncated pixel data")
+    raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=i)
     arr = raw.astype(np.float64) / 255.0
     return arr.reshape(h, w, 3) if channels == 3 else arr.reshape(h, w)
 

@@ -75,7 +75,6 @@ class LossReport:
     l_nmf: float
     l_total: float
     grad_norms: dict[str, float]
-    n_pixels: int
     n_fused: int  # |Omega-bar|, pixels the binarized label marks dynamic
 
 
@@ -262,7 +261,6 @@ def total_loss_and_gradients(
         l_nmf=l_nmf,
         l_total=l_total,
         grad_norms=norms,
-        n_pixels=n,
         n_fused=n_fused,
     )
     return report, grads

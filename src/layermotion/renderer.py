@@ -29,6 +29,7 @@ EPS_SIGMA = 1e-12
 DELTA_CAP = 8.0  # pseudo-width of the last sample, meters
 CHANNELS = ("color", "uncertainty", "mask_ss", "mask_dy", "mask_st", "t_bg")
 RENDER_SAMPLES = 64  # default quadrature nodes per rendered ray
+RENDER_CHUNK = 1024  # pixels per work item of render_frame
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,6 @@ def render_frame(
     channels: tuple[str, ...] = CHANNELS,
     n_samples: int = RENDER_SAMPLES,
     workers: int = 1,
-    chunk: int = 1024,
 ) -> dict[str, np.ndarray]:
     """Render a full frame; pixel (ix, iy) equals the single-ray render there.
 
@@ -277,7 +277,7 @@ def render_frame(
     }
 
     def run_chunk(start: int) -> None:
-        stop = min(start + chunk, n_pix)
+        stop = min(start + RENDER_CHUNK, n_pix)
         sl = slice(start, stop)
         depths, deltas = sample_depths(t_near[sl], t_far[sl], n_samples)
         pts = origin[None, None, :] - nu[sl][:, None, :] * depths[:, :, None]
@@ -288,7 +288,7 @@ def render_frame(
         for name in channels:
             out[name][sl] = getattr(bundle, name)
 
-    starts = range(0, n_pix, chunk)
+    starts = range(0, n_pix, RENDER_CHUNK)
     if workers <= 1:
         for s in starts:
             run_chunk(s)

@@ -182,10 +182,6 @@ class SceneConfig:
     height: int = 64
     width: int = 64
     seed: int = 0
-    n_static: int = 1
-    n_semi_static: int = 1
-    n_dynamic: int = 1
-    fov_degrees: float = 64.0
     recall: float = 0.6
     fpr: float = 0.002
     threshold: float = 0.5
@@ -196,6 +192,7 @@ class SceneConfig:
 
 
 BENCH_V1 = "lmf-bench-v1"
+FOV_DEGREES = 64.0  # horizontal field of view of every generated camera
 
 
 def benchmark_config(name: str, seed: int = 0) -> SceneConfig:
@@ -208,20 +205,25 @@ def benchmark_config(name: str, seed: int = 0) -> SceneConfig:
 def generate_scene(config: SceneConfig) -> SceneSpec:
     """Instantiate the procedural scene for `config`, deterministically.
 
-    The camera sweeps an arc inside a closed room (nonzero baseline) while a
-    camera-attached sphere stays fixed in its view; a semi-static cube jumps
-    between two shelf positions at t_star = T // 2.
+    The composition is fixed: the room, one static box, one semi-static cube
+    that jumps between two shelf positions at t_star = T // 2, and one
+    camera-attached sphere that stays fixed in the view while the camera
+    sweeps an arc inside the room (nonzero baseline).
     """
     t_total, h, w = config.n_frames, config.height, config.width
     if t_total < 2:
         raise ConfigError("need at least two frames")
     if h < 8 or w < 8:
         raise ConfigError("image must be at least 8x8")
-    if config.n_static < 0 or config.n_semi_static < 0 or config.n_dynamic < 0:
-        raise ConfigError("object counts must be non-negative")
-    rng = np.random.default_rng(config.seed)
 
-    objects: list[SceneObject] = [
+    box_c = np.array([-0.62, -0.30, -0.45])
+    box_half = np.array([0.22, 0.18, 0.22])
+    # Pinned slightly right of and below the optical axis, at arm's length.
+    # Sized so its projected disk covers roughly 8% of the frame: large
+    # enough that the default false-positive rate keeps pseudo-label
+    # precision above 0.95.
+    sphere_c = (0.125, -0.095, -0.5)
+    objects = (
         SceneObject(
             primitive=RoomShell(lo=(-1.0, -1.0, -1.0), hi=(1.0, 1.0, 1.0)),
             color=ColorRamp(
@@ -231,60 +233,42 @@ def generate_scene(config: SceneConfig) -> SceneSpec:
                 checker_cell=0.5,
             ),
             category=STATIC,
-        )
-    ]
-    for i in range(config.n_static):
-        c = np.array([-0.62, -0.30, -0.45]) + 0.12 * rng.uniform(-1, 1, 3) * (i > 0)
-        half = np.array([0.22, 0.18, 0.22])
-        objects.append(
-            SceneObject(
-                primitive=Box(lo=tuple(c - half), hi=tuple(c + half)),
-                color=ColorRamp(
-                    base=(0.75, 0.45, 0.2),
-                    gain=(0, 0.3, 0, 0, 0, 0.3, 0.3, 0, 0),
-                    ref=tuple(c),
-                ),
-                category=STATIC,
-            )
-        )
-    t_star = t_total // 2
-    for i in range(config.n_semi_static):
+        ),
+        SceneObject(
+            primitive=Box(lo=tuple(box_c - box_half), hi=tuple(box_c + box_half)),
+            color=ColorRamp(
+                base=(0.75, 0.45, 0.2),
+                gain=(0, 0.3, 0, 0, 0, 0.3, 0.3, 0, 0),
+                ref=tuple(box_c),
+            ),
+            category=STATIC,
+        ),
         # Both shelf positions sit above the camera axis, clear of the
         # camera-pinned sphere in the lower half of the frame, so the
         # negative-fusion pixel set never overlaps the relocating object.
-        jitter = 0.1 * rng.uniform(-1, 1, 3) * (i > 0)
-        objects.append(
-            SceneObject(
-                primitive=Box(lo=(-0.14, -0.14, -0.14), hi=(0.14, 0.14, 0.14)),
-                color=ColorRamp(
-                    base=(0.2, 0.72, 0.35),
-                    gain=(0, 0, 0.4, 0.4, 0, 0, 0, 0.4, 0),
-                ),
-                category=SEMI_STATIC,
-                offset_a=tuple(np.array([-0.62, 0.38, 0.3]) + jitter),
-                offset_b=tuple(np.array([-0.55, -0.02, 0.55]) + jitter),
-                t_star=t_star,
-            )
-        )
-    for i in range(config.n_dynamic):
-        # Pinned slightly right of and below the optical axis, at arm's length.
-        # Sized so its projected disk covers roughly 8% of the frame: large
-        # enough that the default false-positive rate keeps pseudo-label
-        # precision above 0.95.
-        off = np.array([0.125, -0.095, -0.5]) + 0.05 * rng.uniform(-1, 1, 3) * (i > 0)
-        objects.append(
-            SceneObject(
-                primitive=Sphere(center=tuple(off), radius=0.1),
-                color=ColorRamp(
-                    base=(0.85, 0.2, 0.25),
-                    gain=(0, 0, 2.0, 0, 0, 0, 0, 0, 0),
-                    ref=tuple(off),
-                ),
-                category=DYNAMIC,
-            )
-        )
+        SceneObject(
+            primitive=Box(lo=(-0.14, -0.14, -0.14), hi=(0.14, 0.14, 0.14)),
+            color=ColorRamp(
+                base=(0.2, 0.72, 0.35),
+                gain=(0, 0, 0.4, 0.4, 0, 0, 0, 0.4, 0),
+            ),
+            category=SEMI_STATIC,
+            offset_a=(-0.62, 0.38, 0.3),
+            offset_b=(-0.55, -0.02, 0.55),
+            t_star=t_total // 2,
+        ),
+        SceneObject(
+            primitive=Sphere(center=sphere_c, radius=0.1),
+            color=ColorRamp(
+                base=(0.85, 0.2, 0.25),
+                gain=(0, 0, 2.0, 0, 0, 0, 0, 0, 0),
+                ref=sphere_c,
+            ),
+            category=DYNAMIC,
+        ),
+    )
 
-    fx = 0.5 * w / math.tan(math.radians(config.fov_degrees) / 2.0)
+    fx = 0.5 * w / math.tan(math.radians(FOV_DEGREES) / 2.0)
     intr = dict(fx=fx, fy=fx, cx=(w - 1) / 2.0, cy=(h - 1) / 2.0)
     cameras = []
     for t in range(t_total):
@@ -302,7 +286,7 @@ def generate_scene(config: SceneConfig) -> SceneSpec:
         height=h,
         width=w,
         seed=config.seed,
-        objects=tuple(objects),
+        objects=objects,
         cameras=tuple(cameras),
     )
 

@@ -5,7 +5,7 @@ batches. Refinement restricts the pixel pool to a chosen frame set (plus an
 optional symmetric neighbor window per frame), optimizes only the
 semi-static and dynamic partitions while the static partition stays
 bit-identical, and guards the objective with step-halving: every
-`guard_every` steps the refinement loss is probed on a fixed batch and a
+GUARD_EVERY steps the refinement loss is probed on a fixed batch and a
 round that raised it is rolled back at half the learning rate, so the
 accepted probe losses form a non-increasing sequence.
 
@@ -36,6 +36,9 @@ DEFAULT_BLOCK_LR: dict[str, float] = {
     "ss_grids": 50.0,
     "dy_grids": 15.0,
 }
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -85,10 +88,10 @@ class RefineConfig(OptimConfig):
     frames: tuple[int, ...]
     neighbors: int = 0
     steps: int = 300
-    guard_every: int = 25
 
 
 PROBE_RAYS = 4096  # size of the fixed batch on which refinement guards its loss
+GUARD_EVERY = 25  # refinement steps per guard round
 
 
 def neighbor_frames(t_i: int, window: int, n_frames: int) -> list[int]:
@@ -114,23 +117,21 @@ def refinement_set(frames, window: int, n_frames: int) -> list[int]:
 class Adam:
     """Per-parameter moment estimation over named blocks.
 
-    `block_lr` holds optional per-block multipliers on the base rate; blocks
-    not listed use 1.0.
+    Each block's rate is the base rate times its DEFAULT_BLOCK_LR multiplier
+    (1.0 for blocks not listed).
     """
 
-    def __init__(self, names, lr: float, beta1=0.9, beta2=0.999, eps=1e-8, block_lr=None):
+    def __init__(self, names, lr: float):
         self.names = tuple(names)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.block_lr = dict(block_lr or {})
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, blocks: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr_scale: float = 1.0):
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for name in self.names:
             g = grads[name]
             if name not in self.m:
@@ -138,12 +139,12 @@ class Adam:
                 self.v[name] = np.zeros_like(g)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            rate = self.lr * lr_scale * self.block_lr.get(name, 1.0)
-            blocks[name] -= rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            rate = self.lr * lr_scale * DEFAULT_BLOCK_LR.get(name, 1.0)
+            blocks[name] -= rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
     def snapshot(self):
         return (
@@ -190,7 +191,7 @@ def train(params: LayeredFieldParams, dataset, cfg: TrainConfig):
     steps_per_epoch = cfg.steps_per_epoch or max(n_pixels // cfg.rays_per_step, 1)
     steps_per_epoch = min(steps_per_epoch, max(n_pixels // cfg.rays_per_step, 1))
     total_steps = cfg.epochs * steps_per_epoch
-    opt = Adam(list(params.blocks), cfg.learning_rate, block_lr=DEFAULT_BLOCK_LR)
+    opt = Adam(list(params.blocks), cfg.learning_rate)
     k = 0
     for epoch in range(cfg.epochs):
         perm = np.random.default_rng([cfg.seed, 11, epoch]).permutation(n_pixels)
@@ -241,7 +242,7 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
         return params, log, []
     pool = dataset.pixel_ids_for_frames(frames)
     trainable = list(PARTITION["ss"]) + list(PARTITION["dy"])
-    opt = Adam(trainable, cfg.learning_rate, block_lr=DEFAULT_BLOCK_LR)
+    opt = Adam(trainable, cfg.learning_rate)
 
     probe_rng = np.random.default_rng([cfg.seed, 17])
     probe_ids = probe_rng.choice(pool, size=min(PROBE_RAYS, pool.size), replace=False)
@@ -264,7 +265,7 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
     snap = snapshot()
     step = 0
     while step < cfg.steps:
-        round_steps = min(cfg.guard_every, cfg.steps - step)
+        round_steps = min(GUARD_EVERY, cfg.steps - step)
         for _ in range(round_steps):
             rng = np.random.default_rng([cfg.seed, 23, step])
             ids = rng.choice(pool, size=min(cfg.rays_per_step, pool.size), replace=False)

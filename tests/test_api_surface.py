@@ -48,3 +48,67 @@ def test_the_scan_sees_definitions():
     defs = set(public_definitions())
     assert ("fields", "load_checkpoint") in defs
     assert README_ENTRY_POINTS <= defs
+
+
+# Settable values: the annotated fields of every `*Config` dataclass, and the
+# defaulted parameters of every public function and method (dunders count:
+# `__init__` takes settings too). A change that adds a knob edits these pins
+# and says why; one that removes a knob lowers them.
+CONFIG_FIELDS = 48
+DEFAULTED_PARAMETERS = 35
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def settable_values():
+    fields, params = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            functions = []
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                functions.append((node.name, node))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if node.name.endswith("Config"):
+                    fields += [
+                        f"{path.stem}.{node.name}.{s.target.id}"
+                        for s in node.body if isinstance(s, ast.AnnAssign)
+                    ]
+                functions += [
+                    (f"{node.name}.{f.name}", f)
+                    for f in node.body if isinstance(f, ast.FunctionDef) and _public(f.name)
+                ]
+            for name, fn in functions:
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                params += [f"{path.stem}.{name}({p.arg}=)" for p in defaulted]
+    return fields, params
+
+
+def test_settable_value_ratchet():
+    fields, params = settable_values()
+    assert "scenegen.SceneConfig.recall" in fields
+    assert "renderer.render_frame(workers=)" in params
+    assert (len(fields), len(params)) == (CONFIG_FIELDS, DEFAULTED_PARAMETERS), (fields, params)
+
+
+def test_cli_flags_and_config_keys_are_one_set(tmp_path):
+    from layermotion import cli
+
+    explicit = {"help", "config", "workspace", "pred_dir"}
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices]
+    for name, subparser in sub.choices.items():
+        flags = {a.dest: a for a in subparser._actions if a.dest not in explicit}
+        for dest, action in flags.items():
+            assert action.option_strings == ["--" + dest.replace("_", "-")], name
+        assert set(flags) == set(cli._SETTINGS), name
+    # Every flag is also accepted as a config-file key, with the flag's parser.
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {'1' if a.type in (int, float) else 'x'}\n" for k, a in flags.items()))
+    parsed = cli.read_config_file(cfg)
+    assert set(parsed) == set(flags)
+    assert all(type(parsed[k]) is flags[k].type for k in flags)

@@ -1,3 +1,5 @@
+import csv
+import json
 import shutil
 from pathlib import Path
 
@@ -108,6 +110,55 @@ class TestMissingArtifacts:
         ckpt.write_bytes(ckpt.read_bytes()[:-1])
         assert run(["render", "--workspace", ws, "--frames", "0"]) == 3
         assert "cut short" in capsys.readouterr().err
+
+
+def _cut_meta(d):
+    (d / "meta.json").write_bytes((d / "meta.json").read_bytes()[:30])
+
+
+def _zero_frames(d):
+    meta = json.loads((d / "meta.json").read_text())
+    (d / "meta.json").write_text(json.dumps({**meta, "n_frames": 0}))
+
+
+def _edit_r00(d, edit):
+    path = d / "cameras.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][1] = edit(rows[1][1])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _narrow_pseudo(d):
+    (d / "pseudo" / "pseudo_0002.pgm").write_bytes(b"P5\n20 24\n255\n" + bytes(20 * 24))
+
+
+class TestMalformedDataset:
+    """Each malformed dataset input ends `lmf train` with exit 3 and one line on stderr."""
+
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        ws = tmp_path_factory.mktemp("gen") / "ws"
+        assert run(["generate", "--workspace", ws, "--scene", "mini:6x24x24"]) == 0
+        return ws
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_cut_meta, "not valid JSON"),
+        (_zero_frames, "n_frames must be a positive integer"),
+        (lambda d: _edit_r00(d, lambda v: "x" + v), "could not convert"),
+        (lambda d: _edit_r00(d, lambda v: repr(1.5 * float(v))), "not orthonormal"),
+        (_narrow_pseudo, "image is 20x24"),
+    ], ids=["meta_cut_30_bytes", "n_frames_0", "camera_x_prefix", "rotation_scaled", "pgm_20x24"])
+    def test_train_exits_3(self, generated, tmp_path, capsys, corrupt, message):
+        ws = tmp_path / "ws"
+        shutil.copytree(generated, ws)
+        corrupt(ws / "dataset")
+        capsys.readouterr()
+        assert run(["train", "--workspace", ws] + TINY) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and err.count("\n") == 1
+        assert message in err
 
 
 @pytest.fixture(scope="module")

@@ -254,6 +254,46 @@ class TestCameraCsv:
         with pytest.raises(DataError):
             load_cameras(tmp_path / "nope.csv")
 
+    @staticmethod
+    def edit_first_row(tmp_path, edit):
+        path = tmp_path / "cameras.csv"
+        save_cameras(path, [identity_pose(), identity_pose()])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1] = edit(rows[1])
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return path
+
+    def test_non_numeric_field(self, tmp_path):
+        path = self.edit_first_row(tmp_path, lambda row: row[:1] + ["x" + row[1]] + row[2:])
+        with pytest.raises(DataError, match="row 1"):
+            load_cameras(path)
+
+    @pytest.mark.parametrize("edit", [lambda row: row[:-1], lambda row: row + ["0"]])
+    def test_wrong_column_count(self, tmp_path, edit):
+        with pytest.raises(DataError, match="expected 17"):
+            load_cameras(self.edit_first_row(tmp_path, edit))
+
+    def test_pose_rejected_by_camera_pose(self, tmp_path):
+        def scale_r00(row):
+            return row[:1] + [repr(1.5 * float(row[1]))] + row[2:]
+
+        with pytest.raises(DataError, match="not orthonormal"):
+            load_cameras(self.edit_first_row(tmp_path, scale_r00))
+
+    def test_non_finite_field(self, tmp_path):
+        path = self.edit_first_row(tmp_path, lambda row: row[:13] + ["nan"] + row[14:])
+        with pytest.raises(DataError, match="non-finite value"):
+            load_cameras(path)
+
+    def test_nul_byte(self, tmp_path):
+        path = tmp_path / "cameras.csv"
+        save_cameras(path, [identity_pose()])
+        path.write_bytes(path.read_bytes().replace(b"1", b"\x00", 1))
+        with pytest.raises(DataError):
+            load_cameras(path)
+
 
 def test_look_at_is_valid_rotation():
     rng = np.random.default_rng(13)

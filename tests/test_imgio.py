@@ -52,6 +52,30 @@ def test_comment_in_header(tmp_path):
     np.testing.assert_allclose(back, [[0.0, 1.0]])
 
 
+@pytest.mark.parametrize("cut", [2, 4, 6])
+def test_header_cut_short(tmp_path, cut):
+    path = tmp_path / "x.pgm"
+    imgio.write_pgm(path, np.zeros((24, 24)))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(DataError, match="header cut short"):
+        imgio.read_pgm(path)
+
+
+def test_non_integer_size_token(tmp_path):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(b"P6\n2x 1\n255\n" + bytes(6))
+    with pytest.raises(DataError, match="not a decimal size"):
+        imgio.read_ppm(path)
+
+
+@pytest.mark.parametrize("keep", [0, 1, 5])
+def test_truncated_pixel_data(tmp_path, keep):
+    path = tmp_path / "x.ppm"
+    path.write_bytes(b"P6\n2 1\n255\n" + bytes(keep))
+    with pytest.raises(DataError, match="truncated pixel data"):
+        imgio.read_ppm(path)
+
+
 def test_f64_round_trip(tmp_path):
     arr = np.random.default_rng(2).standard_normal((4, 6))
     path = tmp_path / "x.f64"

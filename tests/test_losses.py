@@ -234,7 +234,6 @@ class TestTotalLossAndGradients:
         assert report.l_total == pytest.approx(
             report.l_rgb + report.l_pmf + report.l_nmf, abs=1e-12
         )
-        assert report.n_pixels == 12
         assert report.n_fused == 5
         assert report.l_pmf >= 0.0 and report.l_nmf >= 0.0
         assert set(report.grad_norms) == set(PARTITION)
@@ -272,7 +271,7 @@ class TestGradientSubset:
         full, _ = total_loss_and_gradients(params, batch, LossConfig(), workers=2)
         probe, grads = total_loss_and_gradients(params, batch, LossConfig(), workers=2, wrt=())
         assert grads == {}
-        for field in ("l_rgb", "l_pmf", "l_nmf", "l_total", "n_pixels", "n_fused"):
+        for field in ("l_rgb", "l_pmf", "l_nmf", "l_total", "n_fused"):
             assert getattr(probe, field) == getattr(full, field)
         assert probe.grad_norms == {"st": 0.0, "ss": 0.0, "dy": 0.0}
 

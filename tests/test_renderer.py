@@ -7,6 +7,7 @@ from layermotion.fields import softplus_inv, zero_params
 from layermotion.geometry import look_at, ray_through_pixel
 from layermotion.renderer import (
     DELTA_CAP,
+    RENDER_CHUNK,
     RaySamples,
     composite_point,
     render_batch,
@@ -16,7 +17,7 @@ from layermotion.renderer import (
     sample_ray,
 )
 from naive_ref import naive_render_ray
-from test_fields import randomized_params, sample_points, small_config
+from test_fields import randomized_params, sample_points, small_config, small_frustum
 
 
 class TestSampling:
@@ -222,11 +223,13 @@ class TestRenderFrame:
                 assert frame["t_bg"][iy, ix] == pytest.approx(single.t_bg, abs=1e-12)
 
     def test_worker_count_invariance(self):
-        cfg = small_config()
+        # 48 x 48 = 2304 pixels: three render chunks, so three workers split the frame.
+        assert 2 * RENDER_CHUNK < 48 * 48
+        cfg = small_config(frustum=small_frustum(48))
         params = randomized_params(cfg, seed=31)
-        pose = look_at((0.7, -0.2, 0.1), (0, 0, 0), fx=8, fy=8, cx=3.5, cy=3.5)
-        a = render_frame(params, pose, n_samples=12, workers=1, chunk=16)
-        b = render_frame(params, pose, n_samples=12, workers=3, chunk=16)
+        pose = look_at((0.7, -0.2, 0.1), (0, 0, 0), fx=8, fy=8, cx=23.5, cy=23.5)
+        a = render_frame(params, pose, n_samples=12, workers=1)
+        b = render_frame(params, pose, n_samples=12, workers=3)
         for key in a:
             np.testing.assert_array_equal(a[key], b[key])
 

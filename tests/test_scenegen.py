@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,10 @@ class TestGenerateScene:
         np.testing.assert_array_equal(ga.mask_dyn, gb.mask_dyn)
 
     def test_no_dynamic_objects_means_empty_dyn_mask(self):
-        scene = generate_scene(small_config(n_dynamic=0))
+        scene = generate_scene(small_config())
+        scene = dataclasses.replace(
+            scene, objects=tuple(o for o in scene.objects if o.category != scenegen.DYNAMIC)
+        )
         gt = render_ground_truth(scene)
         assert not gt.mask_dyn.any()
         assert gt.mask_ss.any()

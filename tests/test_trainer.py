@@ -185,7 +185,7 @@ class TestRefine:
     def test_probe_losses_non_increasing(self, tiny_dataset, trained):
         _, _, probes = refine(
             trained, tiny_dataset,
-            RefineConfig(frames=(0, 2, 4), steps=40, guard_every=10,
+            RefineConfig(frames=(0, 2, 4), steps=100,
                          rays_per_step=128, n_samples=6, learning_rate=2e-3, seed=4),
         )
         assert all(b <= a + 1e-12 for a, b in zip(probes, probes[1:]))
@@ -247,8 +247,9 @@ class TestAdamAndSchedule:
         assert abs(blocks["w"][0]) < 0.2
 
     def test_block_lr_multiplier(self):
-        blocks = {"a": np.array([1.0]), "b": np.array([1.0])}
-        opt = Adam(["a", "b"], lr=0.01, block_lr={"b": 10.0})
-        grads = {"a": np.array([1.0]), "b": np.array([1.0])}
+        # st_grid steps at 50x the base rate, st_head at the base rate.
+        blocks = {"st_grid": np.array([1.0]), "st_head": np.array([1.0])}
+        opt = Adam(["st_grid", "st_head"], lr=0.01)
+        grads = {"st_grid": np.array([1.0]), "st_head": np.array([1.0])}
         opt.step(blocks, grads)
-        assert (1.0 - blocks["b"][0]) > (1.0 - blocks["a"][0]) * 5
+        assert (1.0 - blocks["st_grid"][0]) > (1.0 - blocks["st_head"][0]) * 5
