@@ -6,6 +6,7 @@ from layermotion.dataset import dataset_from_scene
 from layermotion.errors import ConfigError, DomainError
 from layermotion.fields import init_params
 from layermotion.trainer import (
+    GUARD_EVERY,
     Adam,
     RefineConfig,
     TrainConfig,
@@ -188,6 +189,7 @@ class TestRefine:
             RefineConfig(frames=(0, 2, 4), steps=100,
                          rays_per_step=128, n_samples=6, learning_rate=2e-3, seed=4),
         )
+        assert len(probes) == 1 + 100 // GUARD_EVERY  # the initial probe plus four rounds
         assert all(b <= a + 1e-12 for a, b in zip(probes, probes[1:]))
 
     def test_deterministic(self, tiny_dataset, trained):
