@@ -26,7 +26,7 @@ from . import imgio
 from .dataset import Dataset, load_dataset, write_dataset
 from .errors import ConfigError, DataError, EngineError, MissingArtifactError, NumericalError
 from .evalkit import analyze_pseudo_masks, evaluate
-from .fields import FieldConfig, init_params, load_checkpoint, read_sidecar, save_checkpoint
+from .fields import init_params, load_checkpoint, read_sidecar, save_checkpoint
 from .losses import LossConfig
 from .renderer import RENDER_SAMPLES, render_frame
 from .scenegen import (
@@ -63,9 +63,6 @@ _SETTINGS = {
     "refine_steps": (int, RefineConfig.steps, None),
     "refine_lr": (float, RefineConfig.learning_rate, None),
     "render_samples": (int, RENDER_SAMPLES, None),
-    "grid_res": (int, FieldConfig.grid_res, None),
-    "ss_grid_res": (int, FieldConfig.ss_grid_res, None),
-    "dyn_grid_res": (int, FieldConfig.dyn_grid_res, None),
     "label": (str, None, None),
 }
 
@@ -229,10 +226,7 @@ def cmd_train(args) -> int:
     )
     if tc.epochs < 1:
         raise ConfigError("epochs must be >= 1")
-    field_cfg = ds.field_config(
-        grid_res=cfg["grid_res"], ss_grid_res=cfg["ss_grid_res"], dyn_grid_res=cfg["dyn_grid_res"]
-    )
-    params = init_params(field_cfg, seed=cfg["seed"])
+    params = init_params(ds.field_config(), seed=cfg["seed"])
     log_path = ws.dir("reports") / "training_log.csv"
     try:
         params, log = train(params, ds, tc)

@@ -220,7 +220,12 @@ def _is_int(v) -> bool:
 
 
 def _is_finite_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _read_meta(path: Path) -> dict:

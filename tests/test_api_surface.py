@@ -50,12 +50,13 @@ def test_the_scan_sees_definitions():
     assert README_ENTRY_POINTS <= defs
 
 
-# Settable values: the annotated fields of every `*Config` dataclass, and the
+# Settable values: the annotated fields of every `*Config` dataclass, the
 # defaulted parameters of every public function and method (dunders count:
-# `__init__` takes settings too). A change that adds a knob edits these pins
-# and says why; one that removes a knob lowers them.
+# `__init__` takes settings too), and the CLI's settings. A change that adds a
+# knob edits these pins and says why; one that removes a knob lowers them.
 CONFIG_FIELDS = 48
 DEFAULTED_PARAMETERS = 35
+CLI_SETTINGS = 20
 
 
 def _public(name: str) -> bool:
@@ -89,10 +90,13 @@ def settable_values():
 
 
 def test_settable_value_ratchet():
+    from layermotion import cli
+
     fields, params = settable_values()
     assert "scenegen.SceneConfig.recall" in fields
     assert "renderer.render_frame(workers=)" in params
     assert (len(fields), len(params)) == (CONFIG_FIELDS, DEFAULTED_PARAMETERS), (fields, params)
+    assert len(cli._SETTINGS) == CLI_SETTINGS, sorted(cli._SETTINGS)
 
 
 def test_cli_flags_and_config_keys_are_one_set(tmp_path):

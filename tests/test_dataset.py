@@ -71,7 +71,7 @@ class TestMeta:
             load_dataset(ds_copy)
 
     @pytest.mark.parametrize("key", ["world_lo", "world_hi"])
-    @pytest.mark.parametrize("box", [None, [1.0, 1.0], [1.0, "a", 1.0], 1.25, [1.0, 1.0, False]])
+    @pytest.mark.parametrize("box", [None, [1.0, 1.0], [1.0, "a", 1.0], 1.25, [1.0, 1.0, False], [10**400, 1.0, 1.0]])
     def test_world_box_not_a_3_list(self, ds_copy, key, box):
         edit_meta(ds_copy, **{key: box})
         with pytest.raises(DataError, match=key):
