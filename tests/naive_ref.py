@@ -214,3 +214,39 @@ def nmf_loss(pred_mask_ss, mask_binary, lambda_nmf=1.0) -> float:
         return 0.0
     v = np.asarray(pred_mask_ss, dtype=np.float64)[mask_binary]
     return float(lambda_nmf * np.sum(v**2) / count)
+
+
+def naive_sphere_inside(center, radius, p) -> bool:
+    return math.dist(p, center) <= radius
+
+
+def naive_sphere_distance(center, radius, p) -> float:
+    return max(math.dist(p, center) - radius, 0.0)
+
+
+def naive_box_inside(lo, hi, p) -> bool:
+    return all(lo[a] <= p[a] <= hi[a] for a in range(3))
+
+
+def naive_box_distance(lo, hi, p) -> float:
+    """Euclidean distance from `p` to the closed box, 0 inside it."""
+    gap = [max(lo[a] - p[a], p[a] - hi[a], 0.0) for a in range(3)]
+    return math.sqrt(sum(g * g for g in gap))
+
+
+def naive_room_inside(lo, hi, thickness, p) -> bool:
+    """Wall material: the closed outer box minus the open cavity (lo, hi)."""
+    outer_lo = [v - thickness for v in lo]
+    outer_hi = [v + thickness for v in hi]
+    in_cavity = all(lo[a] < p[a] < hi[a] for a in range(3))
+    return naive_box_inside(outer_lo, outer_hi, p) and not in_cavity
+
+
+def naive_room_distance(lo, hi, thickness, p) -> float:
+    """Distance to the wall material: to the nearest inner face from inside
+    the cavity, to the outer box from beyond the wall, 0 in the wall."""
+    if all(lo[a] < p[a] < hi[a] for a in range(3)):
+        return min(min(p[a] - lo[a], hi[a] - p[a]) for a in range(3))
+    outer_lo = [v - thickness for v in lo]
+    outer_hi = [v + thickness for v in hi]
+    return naive_box_distance(outer_lo, outer_hi, p)
