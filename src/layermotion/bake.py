@@ -1,8 +1,9 @@
 """Bake an analytic scene into field grids, layer by layer.
 
-Grid nodes inside a primitive get a high density pre-activation; empty
-nodes get a vanishing one but carry the color of the nearest surface, so
-trilinear interpolation across a boundary does not bleed gray into it. The
+Every grid is filled from one `scenegen.material` query over the layer's
+objects: nodes on material get a high density pre-activation, empty nodes a
+vanishing one, and every node the color of the nearest object, so trilinear
+interpolation across a boundary does not bleed gray into it. The
 semi-static layer uses two grids gated by the temporal code (early pose /
 late pose). The dynamic layer fills its frustum grid directly in camera
 coordinates, where camera-pinned objects are constant. Baked fields let
@@ -16,15 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import FieldConfig, LayeredFieldParams, logit, softplus_inv, zero_params
-from .scenegen import (
-    DYNAMIC,
-    SEMI_STATIC,
-    STATIC,
-    SceneSpec,
-    nearest_color,
-    object_occupancy,
-    static_occupancy,
-)
+from .scenegen import DYNAMIC, SEMI_STATIC, STATIC, SceneSpec, material
 
 _DENSE = 400.0  # baked in-material density: opaque within a fraction of a cell
 _EMPTY = 1e-4
@@ -36,9 +29,9 @@ def _grid_nodes(lo, hi, res: int) -> np.ndarray:
     return g.reshape(-1, 3)
 
 
-def _fill(grid_slice, inside, inside_color, fallback_color):
+def _fill(grid_slice, objects, pts, offsets):
+    inside, color = material(objects, pts, offsets)
     grid_slice[..., 0] = np.where(inside, softplus_inv(_DENSE), softplus_inv(_EMPTY))
-    color = np.where(inside[..., None], inside_color, fallback_color)
     grid_slice[..., 1:4] = logit(color)
     grid_slice[..., 4] = softplus_inv(0.05)
 
@@ -54,9 +47,7 @@ def bake_scene(scene: SceneSpec, config: FieldConfig) -> LayeredFieldParams:
     params = zero_params(config)
     b = params.blocks
     pts = _grid_nodes(config.world_lo, config.world_hi, config.grid_res)
-
-    inside, color = static_occupancy(scene, pts)
-    _fill(b["st_grid"].reshape(-1, 5), inside, color, nearest_color(st_objects, pts))
+    _fill(b["st_grid"].reshape(-1, 5), st_objects, pts, [o.offset_a for o in st_objects])
 
     # Semi-static: grid 0 holds every object at its early pose, grid 1 at its
     # late pose; the temporal code gates grid 0 on for t < t_star, grid 1 after.
@@ -64,15 +55,8 @@ def bake_scene(scene: SceneSpec, config: FieldConfig) -> LayeredFieldParams:
     ss = b["ss_grids"].reshape(-1, config.mix_k, 5)
     ss[..., 0] = softplus_inv(_EMPTY)
     ss[..., 4] = softplus_inv(0.05)
-    for phase in (0, 1):
-        inside = np.zeros(pts_ss.shape[0], dtype=bool)
-        color = np.zeros((pts_ss.shape[0], 3))
-        offs = [o.offset_a if phase == 0 else o.offset_b for o in ss_objects]
-        for obj, off in zip(ss_objects, offs):
-            ins, col = object_occupancy(obj, pts_ss, offset=off)
-            color[ins & ~inside] = col[ins & ~inside]
-            inside |= ins
-        _fill(ss[:, phase], inside, color, nearest_color(ss_objects, pts_ss, offs))
+    _fill(ss[:, 0], ss_objects, pts_ss, [o.offset_a for o in ss_objects])
+    _fill(ss[:, 1], ss_objects, pts_ss, [o.offset_b for o in ss_objects])
     if ss_objects:
         t_star = ss_objects[0].t_star
         basis = params.basis
@@ -97,16 +81,10 @@ def bake_scene(scene: SceneSpec, config: FieldConfig) -> LayeredFieldParams:
     x = (u[:, 0] * 2.0 - 1.0) * span * d * (fr.width / 2.0) / fr.fx
     y = (u[:, 1] * 2.0 - 1.0) * span * d * (fr.height / 2.0) / fr.fy
     cam_pts = np.stack([x, y, -d], axis=-1)
-    inside = np.zeros(cam_pts.shape[0], dtype=bool)
-    color = np.zeros((cam_pts.shape[0], 3))
-    for obj in dy_objects:
-        ins, col = object_occupancy(obj, cam_pts)
-        color[ins & ~inside] = col[ins & ~inside]
-        inside |= ins
     dy = b["dy_grids"].reshape(-1, config.dyn_mix_k, 5)
     dy[..., 0] = softplus_inv(_EMPTY)
     dy[..., 4] = softplus_inv(0.05)
-    _fill(dy[:, 0], inside, color, nearest_color(dy_objects, cam_pts))
+    _fill(dy[:, 0], dy_objects, cam_pts, [o.offset_a for o in dy_objects])
     b["dy_zmap_b"][...] = 0.0
     b["dy_zmap_b"][0] = 1.0
     return params

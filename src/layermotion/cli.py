@@ -25,7 +25,7 @@ import numpy as np
 from . import imgio
 from .dataset import Dataset, load_dataset, write_dataset
 from .errors import ConfigError, DataError, EngineError, MissingArtifactError, NumericalError
-from .evalkit import analyze_pseudo_masks, evaluate
+from .evalkit import analyze_pseudo_masks, evaluate, evaluate_params
 from .fields import init_params, load_checkpoint, read_sidecar, save_checkpoint
 from .losses import LossConfig
 from .renderer import RENDER_SAMPLES, render_frame
@@ -72,8 +72,12 @@ def read_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     out = {}
-    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -100,6 +104,8 @@ def _settings(args) -> dict:
             cfg[key] = flag
     if cfg["workers"] is None:
         cfg["workers"] = os.cpu_count() or 1
+    if cfg["render_samples"] < 2:
+        raise ConfigError("render_samples must be at least 2")
     return cfg
 
 
@@ -348,39 +354,30 @@ def cmd_eval(args) -> int:
     ws = Workspace(args.workspace)
     ds = load_dataset(ws.dataset_dir)
     frames = _parse_frames(cfg["frames"], ds)
-    label = cfg["label"] or ""
+    label = cfg["label"]
+    render_dir = ws.root / "renders"
     if args.pred_dir:
         preds = _predictions_from_pgm_dir(Path(args.pred_dir), frames, (ds.height, ds.width))
-        label = label or "external"
-    else:
-        render_dir = ws.root / "renders"
-        have_renders = all(
-            (render_dir / f"mask_dy_{t:04d}.f64").exists()
-            and (render_dir / f"mask_ss_{t:04d}.f64").exists()
+        report = evaluate(preds, ds, frames, label=label or "external")
+    elif all(
+        (render_dir / f"mask_dy_{t:04d}.f64").exists() and (render_dir / f"mask_ss_{t:04d}.f64").exists()
+        for t in frames
+    ):
+        shape = (ds.height, ds.width)
+        preds = {
+            t: (
+                imgio.read_f64(render_dir / f"mask_ss_{t:04d}.f64", shape),
+                imgio.read_f64(render_dir / f"mask_dy_{t:04d}.f64", shape),
+            )
             for t in frames
+        }
+        report = evaluate(preds, ds, frames, label=label or _label(read_sidecar(_pick_checkpoint(ws))[1]))
+    else:
+        params, meta = load_checkpoint(_pick_checkpoint(ws))
+        report = evaluate_params(
+            params, ds, frames, label=label or _label(meta),
+            n_samples=cfg["render_samples"], workers=cfg["workers"],
         )
-        if have_renders:
-            shape = (ds.height, ds.width)
-            preds = {
-                t: (
-                    imgio.read_f64(render_dir / f"mask_ss_{t:04d}.f64", shape),
-                    imgio.read_f64(render_dir / f"mask_dy_{t:04d}.f64", shape),
-                )
-                for t in frames
-            }
-            label = label or _label(read_sidecar(_pick_checkpoint(ws))[1])
-        else:
-            ckpt = _pick_checkpoint(ws)
-            params, meta = load_checkpoint(ckpt)
-            preds = {}
-            for t in frames:
-                out = render_frame(
-                    params, ds.poses[t], t=t, n_samples=cfg["render_samples"],
-                    workers=cfg["workers"], channels=("mask_ss", "mask_dy"),
-                )
-                preds[t] = (out["mask_ss"], out["mask_dy"])
-            label = label or _label(meta)
-    report = evaluate(preds, ds, frames, label=label)
     out_dir = ws.dir("reports")
     # A loaded dataset always has pseudo-labels; score their quality too.
     masks = [
@@ -398,7 +395,7 @@ def cmd_eval(args) -> int:
         w = csv.writer(fh)
         w.writerow(["label", "category", "frame", "ap", "kind"])
         for row in report.as_rows():
-            w.writerow([label, row["category"], row["frame"], f"{row['ap']:.6f}", row["kind"]])
+            w.writerow([report.label, row["category"], row["frame"], f"{row['ap']:.6f}", row["kind"]])
     table = report.summary_table()
     summary_path = out_dir / "summary.txt"
     summary_path.write_text(table + "\n")

@@ -132,32 +132,40 @@ class Dataset:
         return FieldConfig(**kw)
 
 
+def _meta(scene: SceneSpec, config: SceneConfig) -> dict:
+    """The meta.json fields: scene name, sizes, world box, eval protocol."""
+    return {
+        "name": scene.name,
+        "seed": scene.seed,
+        "n_frames": scene.n_frames,
+        "height": scene.height,
+        "width": scene.width,
+        "world_lo": list(scene.world_lo),
+        "world_hi": list(scene.world_hi),
+        "eval_frames": list(config.eval_frames()),
+        "recall": config.recall,
+        "fpr": config.fpr,
+        "threshold": config.threshold,
+    }
+
+
 def dataset_from_scene(
     scene: SceneSpec,
     gt: GroundTruth,
     pseudo_masks: list[MotionMask] | None,
-    config: SceneConfig | None = None,
+    config: SceneConfig,
 ) -> Dataset:
     """In-memory dataset straight from generation (no disk round trip)."""
     pseudo = None
     if pseudo_masks is not None:
         pseudo = np.stack([m.values for m in pseudo_masks])
-    meta = {
-        "name": scene.name,
-        "seed": scene.seed,
-        "world_lo": list(scene.world_lo),
-        "world_hi": list(scene.world_hi),
-        "eval_frames": list(config.eval_frames()) if config else list(range(scene.n_frames)),
-    }
-    if config is not None:
-        meta.update(recall=config.recall, fpr=config.fpr, threshold=config.threshold)
     return Dataset(
         rgb=gt.rgb.copy(),
         mask_dyn=gt.mask_dyn.copy(),
         mask_ss=gt.mask_ss.copy(),
         pseudo=pseudo,
         poses=list(scene.cameras),
-        meta=meta,
+        meta=_meta(scene, config),
     )
 
 
@@ -196,21 +204,8 @@ def write_dataset(
         w.writerow(["t", "frame", "mask_dyn", "mask_ss", "pseudo"])
         w.writerows(rows)
     created.append(manifest)
-    meta = {
-        "name": scene.name,
-        "seed": scene.seed,
-        "n_frames": scene.n_frames,
-        "height": scene.height,
-        "width": scene.width,
-        "world_lo": list(scene.world_lo),
-        "world_hi": list(scene.world_hi),
-        "eval_frames": list(config.eval_frames()),
-        "recall": config.recall,
-        "fpr": config.fpr,
-        "threshold": config.threshold,
-    }
     meta_path = root / "meta.json"
-    meta_path.write_text(json.dumps(meta, indent=1, sort_keys=True))
+    meta_path.write_text(json.dumps(_meta(scene, config), indent=1, sort_keys=True))
     created.append(meta_path)
     return created
 

@@ -42,6 +42,12 @@ class LossConfig:
     lambda_nmf: float = 1.0
     threshold: float = 0.5
 
+    def __post_init__(self):
+        if self.lambda_pmf < 0 or self.lambda_nmf < 0:
+            raise ConfigError("lambda_pmf and lambda_nmf must be non-negative")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError("threshold must lie in (0, 1)")
+
     @staticmethod
     def from_names(names, **weights) -> "LossConfig":
         """Enable the named terms; `weights` overrides lambda_pmf, lambda_nmf, threshold.

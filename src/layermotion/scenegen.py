@@ -8,7 +8,8 @@ A scene is a closed textured room plus three object categories:
                   observer exactly, like a hand-held object).
 
 Ground truth is rendered by exact ray/primitive intersection: the front-most
-surface per pixel decides color and category, so the masks are exact.
+surface per pixel decides color and category, so the masks are exact. The
+field baker fills every grid from one point query over the same primitives.
 Pseudo-masks emulate a 2D motion-segmentation model with an
 incomplete-but-precise error profile: high-confidence interiors, eroded
 low-confidence boundaries, random dropout, and a few small false-positive
@@ -61,16 +62,50 @@ class ColorRamp:
         return np.clip(c, 0.0, 1.0)
 
 
+_HIT_EPS = 1e-9  # hits closer than this to the ray origin do not count
+
+
+def _box_gap(pts, lo, hi) -> np.ndarray:
+    """Euclidean distance from points to the closed box [lo, hi], 0 inside it."""
+    gap = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+    return np.linalg.norm(gap, axis=-1)
+
+
 @dataclass(frozen=True)
 class Sphere:
     center: tuple[float, float, float]
     radius: float
+
+    def hit(self, origins, dirs, offset) -> np.ndarray:
+        oc = origins - (np.asarray(self.center) + offset)
+        b = np.einsum("...i,...i->...", oc, dirs)
+        c = np.einsum("...i,...i->...", oc, oc) - self.radius * self.radius
+        disc = b * b - c
+        hit = disc >= 0.0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        t0 = -b - sq
+        t1 = -b + sq
+        t = np.where(t0 > _HIT_EPS, t0, np.where(t1 > _HIT_EPS, t1, np.inf))
+        return np.where(hit, t, np.inf)
+
+    def distance(self, pts) -> np.ndarray:
+        gap = np.linalg.norm(pts - np.asarray(self.center), axis=-1) - self.radius
+        return np.maximum(gap, 0.0)
 
 
 @dataclass(frozen=True)
 class Box:
     lo: tuple[float, float, float]
     hi: tuple[float, float, float]
+
+    def hit(self, origins, dirs, offset) -> np.ndarray:
+        lo, hi = np.asarray(self.lo) + offset, np.asarray(self.hi) + offset
+        enter, exit_ = slab_interval(origins, dirs, lo, hi)
+        ok = (exit_ >= enter) & (exit_ > _HIT_EPS)
+        return np.where(ok, np.where(enter > _HIT_EPS, enter, exit_), np.inf)
+
+    def distance(self, pts) -> np.ndarray:
+        return _box_gap(pts, np.asarray(self.lo), np.asarray(self.hi))
 
 
 @dataclass(frozen=True)
@@ -81,7 +116,25 @@ class RoomShell:
     hi: tuple[float, float, float]
     thickness: float = 0.2
 
+    def hit(self, origins, dirs, offset) -> np.ndarray:
+        # Cameras live inside the cavity; the visible surface is the cavity exit.
+        lo, hi = np.asarray(self.lo) + offset, np.asarray(self.hi) + offset
+        _, exit_ = slab_interval(origins, dirs, lo, hi)
+        return np.where(np.isfinite(exit_) & (exit_ > _HIT_EPS), exit_, np.inf)
 
+    def distance(self, pts) -> np.ndarray:
+        """To the nearest inner face from the open cavity, to the outer box beyond it."""
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        in_cavity = np.all((pts > lo) & (pts < hi), axis=-1)
+        face_gap = np.minimum(pts - lo, hi - pts).min(axis=-1)
+        outer = _box_gap(pts, lo - self.thickness, hi + self.thickness)
+        return np.where(in_cavity, face_gap, outer)
+
+
+# Every primitive answers two queries. `hit(origins, dirs, offset)` is the
+# first hit distance per ray beyond _HIT_EPS (inf where missed), with the
+# primitive moved by `offset`. `distance(pts)` is the distance from points,
+# given in the primitive's own frame, to its material: 0 exactly on it.
 Primitive = Sphere | Box | RoomShell
 
 
@@ -106,11 +159,8 @@ class SceneObject:
             raise ConfigError(f"unknown object category '{self.category}'")
 
     def offset_at(self, t: int) -> np.ndarray:
-        if self.category != SEMI_STATIC:
-            return np.asarray(self.offset_a, dtype=np.float64)
-        return np.asarray(
-            self.offset_a if t < self.t_star else self.offset_b, dtype=np.float64
-        )
+        late = self.category == SEMI_STATIC and t >= self.t_star
+        return np.asarray(self.offset_b if late else self.offset_a, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -186,6 +236,14 @@ class SceneConfig:
     fpr: float = 0.002
     threshold: float = 0.5
     eval_stride: int = 6
+
+    def __post_init__(self):
+        if not 0.0 < self.recall <= 1.0:
+            raise ConfigError("recall must lie in (0, 1]")
+        if not 0.0 <= self.fpr < 1.0:
+            raise ConfigError("fpr must lie in [0, 1)")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError("threshold must lie in (0, 1)")
 
     def eval_frames(self) -> tuple[int, ...]:
         return tuple(range(0, self.n_frames, self.eval_stride))
@@ -296,38 +354,6 @@ def generate_scene(config: SceneConfig) -> SceneSpec:
 # ---------------------------------------------------------------------------
 
 
-def _ray_sphere(origins, dirs, center, radius):
-    """First positive hit distance per ray, inf where missed."""
-    oc = origins - center
-    b = np.einsum("...i,...i->...", oc, dirs)
-    c = np.einsum("...i,...i->...", oc, oc) - radius * radius
-    disc = b * b - c
-    hit = disc >= 0.0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
-    t0 = -b - sq
-    t1 = -b + sq
-    t = np.where(t0 > 1e-9, t0, np.where(t1 > 1e-9, t1, np.inf))
-    return np.where(hit, t, np.inf)
-
-
-def _hit_distance(obj: SceneObject, origins, dirs, t: int):
-    """Distance to `obj` along rays expressed in the object's frame."""
-    prim = obj.primitive
-    if isinstance(prim, RoomShell):
-        # Cameras live inside the cavity; the visible surface is the cavity exit.
-        _, exit_ = slab_interval(origins, dirs, prim.lo, prim.hi)
-        return np.where(np.isfinite(exit_) & (exit_ > 1e-9), exit_, np.inf)
-    off = obj.offset_at(t)
-    if isinstance(prim, Sphere):
-        return _ray_sphere(origins, dirs, np.asarray(prim.center) + off, prim.radius)
-    lo = np.asarray(prim.lo) + off
-    hi = np.asarray(prim.hi) + off
-    enter, exit_ = slab_interval(origins, dirs, lo, hi)
-    ok = (exit_ >= enter) & (exit_ > 1e-9)
-    t_hit = np.where(enter > 1e-9, enter, exit_)
-    return np.where(ok, t_hit, np.inf)
-
-
 def render_ground_truth(scene: SceneSpec) -> GroundTruth:
     """Exact per-pixel front-surface render of all frames.
 
@@ -340,18 +366,18 @@ def render_ground_truth(scene: SceneSpec) -> GroundTruth:
     uy, ux = np.mgrid[0:h, 0:w].astype(np.float64)
     for t, pose in enumerate(scene.cameras):
         dirs_w = pixel_directions(pose, ux, uy)
-        origin_w = pose.center
-        dirs_c = dirs_w @ pose.rotation.T
+        # Camera-frame objects are traced from the camera origin along
+        # camera-frame directions, the rest in world coordinates.
+        world = (pose.center, dirs_w)
+        camera = (np.zeros(3), dirs_w @ pose.rotation.T)
         best = np.full((h, w), np.inf)
         winner = np.full((h, w), -1, dtype=np.int64)
         hits = []
         for k, obj in enumerate(scene.objects):
-            if obj.category == DYNAMIC:
-                # Camera-frame object: intersect in camera coordinates.
-                d = _hit_distance(obj, np.zeros(3), dirs_c, t)
-            else:
-                d = _hit_distance(obj, origin_w, dirs_w, t)
-            hits.append(d)
+            origin, dirs = camera if obj.category == DYNAMIC else world
+            off = obj.offset_at(t)
+            d = obj.primitive.hit(origin, dirs, off)
+            hits.append((origin, dirs, off, d))
             closer = d < best
             best = np.where(closer, d, best)
             winner = np.where(closer, k, winner)
@@ -360,12 +386,8 @@ def render_ground_truth(scene: SceneSpec) -> GroundTruth:
             sel = winner == k
             if not np.any(sel):
                 continue
-            tau = hits[k][sel][:, None]
-            if obj.category == DYNAMIC:
-                pts = tau * dirs_c[sel]
-            else:
-                pts = origin_w + tau * dirs_w[sel] - obj.offset_at(t)
-            frame[sel] = obj.color(pts)
+            origin, dirs, off, d = hits[k]
+            frame[sel] = obj.color(origin + d[sel][:, None] * dirs[sel] - off)
             if obj.category == DYNAMIC:
                 mask_dyn[t][sel] = True
             elif obj.category == SEMI_STATIC:
@@ -379,88 +401,25 @@ def render_ground_truth(scene: SceneSpec) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-def static_occupancy(scene: SceneSpec, pts: np.ndarray):
-    """(inside, color) of the union of static material at world points."""
-    inside = np.zeros(pts.shape[:-1], dtype=bool)
-    color = np.zeros(pts.shape[:-1] + (3,))
-    for obj in scene.objects:
-        if obj.category != STATIC:
-            continue
-        prim = obj.primitive
-        if isinstance(prim, RoomShell):
-            lo_i, hi_i = np.asarray(prim.lo), np.asarray(prim.hi)
-            lo_o, hi_o = lo_i - prim.thickness, hi_i + prim.thickness
-            in_outer = np.all((pts >= lo_o) & (pts <= hi_o), axis=-1)
-            in_inner = np.all((pts > lo_i) & (pts < hi_i), axis=-1)
-            sel = in_outer & ~in_inner
-        elif isinstance(prim, Box):
-            sel = np.all((pts >= np.asarray(prim.lo)) & (pts <= np.asarray(prim.hi)), axis=-1)
-        else:
-            sel = np.linalg.norm(pts - np.asarray(prim.center), axis=-1) <= prim.radius
-        new = sel & ~inside
-        if np.any(new):
-            color[new] = obj.color(pts[new])
-        inside |= sel
-    return inside, color
+def material(objects: Sequence[SceneObject], pts: np.ndarray, offsets):
+    """(inside, color) of the union of `objects`, each moved by its offset.
 
-
-def object_occupancy(obj: SceneObject, pts: np.ndarray, offset=None):
-    """(inside, color) for one primitive; `pts` in the object's own frame."""
-    prim = obj.primitive
-    off = np.zeros(3) if offset is None else np.asarray(offset)
-    local = pts - off
-    if isinstance(prim, Sphere):
-        inside = np.linalg.norm(local - np.asarray(prim.center), axis=-1) <= prim.radius
-    elif isinstance(prim, Box):
-        inside = np.all((local >= np.asarray(prim.lo)) & (local <= np.asarray(prim.hi)), axis=-1)
-    else:
-        raise DomainError("room shells are static-only")
-    color = np.zeros(pts.shape[:-1] + (3,))
-    if np.any(inside):
-        color[inside] = obj.color(local[inside])
-    return inside, color
-
-
-def object_distance(obj: SceneObject, pts: np.ndarray, offset=None) -> np.ndarray:
-    """Distance from points to the primitive's material region (0 inside)."""
-    prim = obj.primitive
-    off = np.zeros(3) if offset is None else np.asarray(offset)
-    local = pts - off
-    if isinstance(prim, Sphere):
-        return np.maximum(
-            np.linalg.norm(local - np.asarray(prim.center), axis=-1) - prim.radius, 0.0
-        )
-    if isinstance(prim, Box):
-        lo, hi = np.asarray(prim.lo), np.asarray(prim.hi)
-        gap = np.maximum(np.maximum(lo - local, local - hi), 0.0)
-        return np.linalg.norm(gap, axis=-1)
-    # Room shell: inside the cavity, distance to the nearest inner face;
-    # inside or beyond the wall material, zero.
-    lo, hi = np.asarray(prim.lo), np.asarray(prim.hi)
-    in_cavity = np.all((local > lo) & (local < hi), axis=-1)
-    face_gap = np.minimum(local - lo, hi - local).min(axis=-1)
-    return np.where(in_cavity, np.maximum(face_gap, 0.0), 0.0)
-
-
-def nearest_color(objects: Sequence[SceneObject], pts: np.ndarray, offsets=None):
-    """Color of the nearest primitive among `objects`, evaluated volumetrically.
-
-    Used when baking fields: empty grid nodes take the color of the closest
-    surface so trilinear interpolation does not bleed gray into boundaries.
+    One pass over the primitives' `distance`: a point is inside when its
+    nearest object is at distance 0, and takes that object's volumetric
+    color, the first one on ties. Empty points get the nearest surface's
+    color too, so baked grids do not bleed gray into boundaries. With no
+    objects every point is outside and mid-gray.
     """
-    if not objects:
-        return np.full(pts.shape[:-1] + (3,), 0.5)
     best = np.full(pts.shape[:-1], np.inf)
-    color = np.empty(pts.shape[:-1] + (3,))
-    for i, obj in enumerate(objects):
-        off = None if offsets is None else offsets[i]
-        d = object_distance(obj, pts, offset=off)
+    color = np.full(pts.shape[:-1] + (3,), 0.5)
+    for obj, off in zip(objects, offsets):
+        local = pts - np.asarray(off)
+        d = obj.primitive.distance(local)
         closer = d < best
         if np.any(closer):
-            local = pts[closer] - (np.zeros(3) if off is None else np.asarray(off))
-            color[closer] = obj.color(local)
+            color[closer] = obj.color(local[closer])
             best = np.where(closer, d, best)
-    return color
+    return best == 0.0, color
 
 
 # ---------------------------------------------------------------------------

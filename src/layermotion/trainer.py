@@ -60,6 +60,9 @@ class OptimConfig:
             raise ConfigError("learning_rate must be positive")
         if self.rays_per_step < 1:
             raise ConfigError("rays_per_step must be positive")
+        if self.n_samples < 2:
+            raise ConfigError("n_samples must be at least 2")
+        self.loss_config()  # checks the loss names, weights and threshold
 
     def loss_config(self) -> LossConfig:
         return LossConfig.from_names(
@@ -80,6 +83,8 @@ class TrainConfig(OptimConfig):
         super().__post_init__()
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
+        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
+            raise ConfigError("steps_per_epoch must be positive")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -88,6 +93,13 @@ class RefineConfig(OptimConfig):
     frames: tuple[int, ...]
     neighbors: int = 0
     steps: int = 300
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.neighbors < 0:
+            raise ConfigError("neighbors must be non-negative")
+        if self.steps < 0:
+            raise ConfigError("refine steps must be non-negative")
 
 
 PROBE_RAYS = 4096  # size of the fixed batch on which refinement guards its loss

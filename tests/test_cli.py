@@ -82,11 +82,17 @@ class TestConfigFile:
         assert run(["generate", "--workspace", ws, "--config", cfg,
                     "--scene", "mini:6x24x24"]) == 0
 
-    def test_bad_value_type(self, tmp_path):
+    def test_bad_value_type(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = soon\n")
         with pytest.raises(ConfigError):
             read_config_file(cfg)
+        cfg.write_bytes(b"epochs = 3\n\xff\xfe\n")
+        with pytest.raises(ConfigError):
+            read_config_file(cfg)
+        assert run(["train", "--workspace", tmp_path / "ws", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 class TestMissingArtifacts:
@@ -175,6 +181,27 @@ class TestFrameRange:
     def test_out_of_range_frames_are_config_errors(self, mini_ws, capsys, sub, frames):
         assert run([sub, "--workspace", mini_ws, f"--frames={frames}"] + TINY) == 2
         assert "outside [0, 6)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, flag, value", [
+    ("train", "--n-samples", 1),
+    ("train", "--render-samples", 0),
+    ("render", "--render-samples", 1),
+    ("refine", "--neighbors", -1),
+    ("generate", "--recall", 0),
+    ("generate", "--fpr", 1),
+    ("generate", "--threshold", 1.5),
+    ("train", "--threshold", 1.5),
+    ("train", "--steps-per-epoch", 0),
+    ("train", "--steps-per-epoch", -3),
+    ("refine", "--refine-steps", -1),
+])
+def test_out_of_range_settings_exit_2(mini_ws, capsys, sub, flag, value):
+    # Each run stops before it writes, so the shared workspace stays as it was.
+    capsys.readouterr()
+    assert run([sub, "--workspace", mini_ws] + TINY + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 class TestBadSidecar:

@@ -2,6 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from naive_ref import (
+    naive_box_distance,
+    naive_box_inside,
+    naive_room_distance,
+    naive_room_inside,
+    naive_sphere_distance,
+    naive_sphere_inside,
+)
 
 from layermotion import scenegen
 from layermotion.errors import ConfigError, DomainError
@@ -204,3 +212,55 @@ class TestDegradeToPseudoMasks:
             MotionMask(values=np.array([[1.5]]), frame_index=0)
         m = MotionMask(values=np.array([[0.2, 0.8]]), frame_index=0, threshold=0.5)
         np.testing.assert_array_equal(m.binary, [[False, True]])
+
+
+def _oracle(prim, p):
+    """(inside, distance) of one primitive at one point, by the scalar oracles."""
+    if isinstance(prim, scenegen.Sphere):
+        return naive_sphere_inside(prim.center, prim.radius, p), naive_sphere_distance(prim.center, prim.radius, p)
+    if isinstance(prim, scenegen.Box):
+        return naive_box_inside(prim.lo, prim.hi, p), naive_box_distance(prim.lo, prim.hi, p)
+    return (
+        naive_room_inside(prim.lo, prim.hi, prim.thickness, p),
+        naive_room_distance(prim.lo, prim.hi, prim.thickness, p),
+    )
+
+
+class TestMaterial:
+    # Nodes 0.1 apart over the world box [-1.25, 1.25]^3: some in the room's
+    # cavity, some inside its wall (|x| in (1, 1.2]), some beyond the wall.
+    AXIS = np.linspace(-1.25, 1.25, 26)
+    NODES = np.stack(np.meshgrid(AXIS, AXIS, AXIS, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    def test_inside_matches_the_scalar_oracles(self, bench_scene):
+        semi = [o for o in bench_scene.objects if o.category == scenegen.SEMI_STATIC]
+        objects = list(bench_scene.objects) + semi  # the semi-static cube at both poses
+        offsets = [o.offset_a for o in bench_scene.objects] + [o.offset_b for o in semi]
+        union = np.zeros(len(self.NODES), dtype=bool)
+        for obj, off in zip(objects, offsets):
+            local = self.NODES - np.asarray(off)
+            expected = [_oracle(obj.primitive, tuple(p)) for p in local]
+            inside, _ = scenegen.material([obj], self.NODES, [off])
+            np.testing.assert_array_equal(inside, [e[0] for e in expected])
+            np.testing.assert_allclose(obj.primitive.distance(local), [e[1] for e in expected], atol=1e-12)
+            union |= inside
+        inside, _ = scenegen.material(objects, self.NODES, offsets)
+        np.testing.assert_array_equal(inside, union)
+        beyond = np.abs(self.NODES).max(axis=-1) > 1.2
+        assert beyond.any() and not inside[beyond].any()
+        assert inside[~beyond & (np.abs(self.NODES).max(axis=-1) > 1.0)].all()
+
+    def test_inside_points_take_the_first_containing_object(self):
+        red = SceneObject(scenegen.Box(lo=(-1, -1, -1), hi=(1, 1, 1)), ColorRamp(base=(1, 0, 0)), scenegen.STATIC)
+        blue = SceneObject(Sphere(center=(0, 0, 0), radius=0.5), ColorRamp(base=(0, 0, 1)), scenegen.STATIC)
+        pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        inside, color = scenegen.material([red, blue], pts, [(0, 0, 0)] * 2)
+        np.testing.assert_array_equal(inside, [True, False])
+        np.testing.assert_array_equal(color, [[1, 0, 0], [1, 0, 0]])
+        inside, color = scenegen.material([blue, red], pts, [(0, 0, 0)] * 2)
+        np.testing.assert_array_equal(color[0], [0, 0, 1])
+
+    def test_no_objects_is_empty_mid_gray(self):
+        inside, color = scenegen.material([], self.NODES[:5], [])
+        assert not inside.any()
+        assert np.all(color == 0.5)

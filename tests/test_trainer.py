@@ -106,17 +106,9 @@ class TestTrain:
         assert last < first
 
     def test_fusion_requires_pseudo_masks(self, tiny_dataset):
-        bare = dataset_from_scene(
-            scenegen.generate_scene(
-                scenegen.SceneConfig(name="t", n_frames=4, height=16, width=16, seed=0)
-            ),
-            scenegen.render_ground_truth(
-                scenegen.generate_scene(
-                    scenegen.SceneConfig(name="t", n_frames=4, height=16, width=16, seed=0)
-                )
-            ),
-            None,
-        )
+        cfg = scenegen.SceneConfig(name="t", n_frames=4, height=16, width=16, seed=0)
+        scene = scenegen.generate_scene(cfg)
+        bare = dataset_from_scene(scene, scenegen.render_ground_truth(scene), None, cfg)
         params = init_params(bare.field_config(), seed=0)
         with pytest.raises(ConfigError):
             train(params, bare, TrainConfig(**TINY_TRAIN))
@@ -124,16 +116,21 @@ class TestTrain:
         assert out is not None
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=-1)
+        for bad in (
+            dict(learning_rate=0.0), dict(epochs=-1), dict(n_samples=1),
+            dict(steps_per_epoch=0), dict(steps_per_epoch=-3),
+            dict(threshold=1.5), dict(threshold=0.0), dict(lambda_pmf=-1.0),
+        ):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
 
     def test_refine_config_shares_the_checks(self):
-        with pytest.raises(ConfigError):
-            RefineConfig(frames=(0,), learning_rate=0.0)
-        with pytest.raises(ConfigError):
-            RefineConfig(frames=(0,), rays_per_step=0)
+        for bad in (
+            dict(learning_rate=0.0), dict(rays_per_step=0), dict(n_samples=1),
+            dict(threshold=1.5), dict(neighbors=-1), dict(steps=-1),
+        ):
+            with pytest.raises(ConfigError):
+                RefineConfig(frames=(0,), **bad)
 
     def test_loss_defaults_have_one_source(self):
         from layermotion.losses import LossConfig
