@@ -360,8 +360,7 @@ def cmd_eval(args) -> int:
         preds = _predictions_from_pgm_dir(Path(args.pred_dir), frames, (ds.height, ds.width))
         report = evaluate(preds, ds, frames, label=label or "external")
     elif all(
-        (render_dir / f"mask_dy_{t:04d}.f64").exists() and (render_dir / f"mask_ss_{t:04d}.f64").exists()
-        for t in frames
+        (render_dir / f"{key}_{t:04d}.f64").exists() for t in frames for key in ("mask_ss", "mask_dy")
     ):
         shape = (ds.height, ds.width)
         preds = {
@@ -371,7 +370,8 @@ def cmd_eval(args) -> int:
             )
             for t in frames
         }
-        report = evaluate(preds, ds, frames, label=label or _label(read_sidecar(_pick_checkpoint(ws))[1]))
+        label = label or _label(read_sidecar(_pick_checkpoint(ws))[1])
+        report = evaluate(preds, ds, frames, label=label)
     else:
         params, meta = load_checkpoint(_pick_checkpoint(ws))
         report = evaluate_params(

@@ -217,7 +217,8 @@ class TestDegradeToPseudoMasks:
 def _oracle(prim, p):
     """(inside, distance) of one primitive at one point, by the scalar oracles."""
     if isinstance(prim, scenegen.Sphere):
-        return naive_sphere_inside(prim.center, prim.radius, p), naive_sphere_distance(prim.center, prim.radius, p)
+        c, r = prim.center, prim.radius
+        return naive_sphere_inside(c, r, p), naive_sphere_distance(c, r, p)
     if isinstance(prim, scenegen.Box):
         return naive_box_inside(prim.lo, prim.hi, p), naive_box_distance(prim.lo, prim.hi, p)
     return (
@@ -242,7 +243,8 @@ class TestMaterial:
             expected = [_oracle(obj.primitive, tuple(p)) for p in local]
             inside, _ = scenegen.material([obj], self.NODES, [off])
             np.testing.assert_array_equal(inside, [e[0] for e in expected])
-            np.testing.assert_allclose(obj.primitive.distance(local), [e[1] for e in expected], atol=1e-12)
+            distance = obj.primitive.distance(local)
+            np.testing.assert_allclose(distance, [e[1] for e in expected], atol=1e-12)
             union |= inside
         inside, _ = scenegen.material(objects, self.NODES, offsets)
         np.testing.assert_array_equal(inside, union)
@@ -251,8 +253,10 @@ class TestMaterial:
         assert inside[~beyond & (np.abs(self.NODES).max(axis=-1) > 1.0)].all()
 
     def test_inside_points_take_the_first_containing_object(self):
-        red = SceneObject(scenegen.Box(lo=(-1, -1, -1), hi=(1, 1, 1)), ColorRamp(base=(1, 0, 0)), scenegen.STATIC)
-        blue = SceneObject(Sphere(center=(0, 0, 0), radius=0.5), ColorRamp(base=(0, 0, 1)), scenegen.STATIC)
+        box = scenegen.Box(lo=(-1, -1, -1), hi=(1, 1, 1))
+        red = SceneObject(box, ColorRamp(base=(1, 0, 0)), scenegen.STATIC)
+        ball = Sphere(center=(0, 0, 0), radius=0.5)
+        blue = SceneObject(ball, ColorRamp(base=(0, 0, 1)), scenegen.STATIC)
         pts = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         inside, color = scenegen.material([red, blue], pts, [(0, 0, 0)] * 2)
         np.testing.assert_array_equal(inside, [True, False])
