@@ -30,6 +30,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +57,8 @@ def softplus_inv(y):
 
 
 def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
+    # C order: the boolean-mask reads below are slow on strided views.
+    x = np.asarray(x, dtype=np.float64, order="C")
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -70,20 +72,28 @@ def logit(p):
     return np.log(p) - np.log1p(-p)
 
 
+def _sinusoid(p: int, n: int) -> np.ndarray | None:
+    """Unit-norm sinusoid p over n samples, or None where it vanishes.
+
+    Sinusoid p has frequency ceil(p/2); odd p are sines, even p cosines.
+    """
+    f = (p + 1) // 2
+    phase = 2.0 * np.pi * f * np.arange(n) / n
+    wave = np.sin(phase) if p % 2 == 1 else np.cos(phase)
+    norm = np.linalg.norm(wave)
+    return wave / norm if norm > 1e-9 else None
+
+
 def fourier_rows(n_rows: int, n_cols: int) -> np.ndarray:
-    """Unit-norm sinusoid rows: row p has frequency ceil(p/2), sin/cos alternating."""
-    j = np.arange(n_cols)
+    """The first `n_rows` sinusoids of :func:`_sinusoid` as rows of length `n_cols`."""
     rows = np.empty((n_rows, n_cols))
     for p in range(n_rows):
-        f = (p + 1) // 2
-        phase = 2.0 * np.pi * f * j / n_cols
-        rows[p] = np.sin(phase) if p % 2 == 1 else np.cos(phase)
-        norm = np.linalg.norm(rows[p])
-        if norm < 1e-12:
+        row = _sinusoid(p, n_cols)
+        if row is None:
             raise ConfigError(
                 f"sinusoid row {p} vanishes for length {n_cols}; increase the code dim"
             )
-        rows[p] /= norm
+        rows[p] = row
     return rows
 
 
@@ -207,14 +217,10 @@ def init_params(config: FieldConfig, seed: int = 0) -> LayeredFieldParams:
     # Sinusoid columns that alias to zero at this frame count fall back
     # to noise.
     t, p = shape["code_ss"]
-    frames = np.arange(t)
     zt = np.empty((t, p))
     for col in range(p):
-        f = (col + 1) // 2
-        phase = 2.0 * np.pi * f * frames / t
-        wave = np.sin(phase) if col % 2 == 1 else np.cos(phase)
-        norm = np.linalg.norm(wave)
-        zt[:, col] = wave / norm * np.sqrt(t) if norm > 1e-9 else rng.standard_normal(t)
+        wave = _sinusoid(col, t)
+        zt[:, col] = wave * np.sqrt(t) if wave is not None else rng.standard_normal(t)
     code_ss = zt + 0.02 * rng.standard_normal((t, p))
     code_dy = zt + 0.02 * rng.standard_normal((t, p))
     blocks = {
@@ -250,52 +256,61 @@ _CORNERS = np.array(
 )
 
 
-def _corner_weights(pts: np.ndarray, lo, hi, res: int):
-    """Flat corner indices (B, 8), weights (B, 8), and the in-bounds mask (B,)."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    inb = np.all((pts >= lo) & (pts <= hi), axis=-1)
-    g = (pts - lo) / (hi - lo) * (res - 1)
-    g = np.clip(g, 0.0, res - 1.0)
-    i0 = np.minimum(g.astype(np.int64), res - 2)
-    f = g - i0
-    base = (i0[:, 0] * res + i0[:, 1]) * res + i0[:, 2]
-    offsets = (_CORNERS[:, 0] * res + _CORNERS[:, 1]) * res + _CORNERS[:, 2]
-    flat = base[:, None] + offsets[None, :]
-    fx, fy, fz = f[:, 0:1], f[:, 1:2], f[:, 2:3]
-    wx = np.concatenate([1.0 - fx, fx], axis=1)  # (B, 2)
-    wy = np.concatenate([1.0 - fy, fy], axis=1)
-    wz = np.concatenate([1.0 - fz, fz], axis=1)
-    w = (wx[:, :, None, None] * wy[:, None, :, None] * wz[:, None, None, :]).reshape(-1, 8)
-    return flat, w, inb
+@dataclass(frozen=True)
+class _Lookup:
+    """Trilinear lookup of a point batch in one grid domain.
 
-
-def _gather(grid: np.ndarray, flat_idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Trilinear read; `grid` is (R, R, R, ...channels) -> (B, ...channels)."""
-    res3 = grid.shape[0] * grid.shape[1] * grid.shape[2]
-    gf = grid.reshape(res3, -1)
-    vals = gf[flat_idx]  # (B, 8, C)
-    out = np.einsum("bo,boc->bc", w, vals)
-    return out.reshape((flat_idx.shape[0],) + grid.shape[3:])
-
-
-def _scatter(shape, flat_idx: np.ndarray, w: np.ndarray, dvals: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_gather`; returns a dense gradient array of `shape`.
-
-    One ordered segment sum (`np.bincount`) per channel over the flattened
-    corner indices. Terms are laid out corner-major (all points' corner 0,
-    then corner 1, ...), so every cell adds its terms in the same order as
-    eight sequential unbuffered scatter-adds would.
+    `idx` (B, 8) are flat corner indices, `w` (B, 8) the corner weights and
+    `inside` (B,) marks the points inside the box [lo, hi]^3.
     """
-    res3 = shape[0] * shape[1] * shape[2]
-    c = int(np.prod(shape[3:]))
-    dv = dvals.reshape(dvals.shape[0], c)
-    idx = flat_idx.T.ravel()
-    wt = np.ascontiguousarray(w.T)  # (8, B)
-    out = np.empty((res3, c))
-    for ch in range(c):
-        out[:, ch] = np.bincount(idx, weights=(wt * dv[:, ch]).ravel(), minlength=res3)
-    return out.reshape(shape)
+
+    idx: np.ndarray
+    w: np.ndarray
+    inside: np.ndarray
+
+    @classmethod
+    def at(cls, pts: np.ndarray, lo, hi, res: int) -> "_Lookup":
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
+        g = (pts - lo) / (hi - lo) * (res - 1)
+        g = np.clip(g, 0.0, res - 1.0)
+        i0 = np.minimum(g.astype(np.int64), res - 2)
+        f = g - i0
+        base = (i0[:, 0] * res + i0[:, 1]) * res + i0[:, 2]
+        offsets = (_CORNERS[:, 0] * res + _CORNERS[:, 1]) * res + _CORNERS[:, 2]
+        fx, fy, fz = f[:, 0:1], f[:, 1:2], f[:, 2:3]
+        wx = np.concatenate([1.0 - fx, fx], axis=1)  # (B, 2)
+        wy = np.concatenate([1.0 - fy, fy], axis=1)
+        wz = np.concatenate([1.0 - fz, fz], axis=1)
+        w = (wx[:, :, None, None] * wy[:, None, :, None] * wz[:, None, None, :]).reshape(-1, 8)
+        return cls(base[:, None] + offsets[None, :], w, inside)
+
+    def read(self, grid: np.ndarray) -> np.ndarray:
+        """Trilinear read; `grid` is (R, R, R, ...channels) -> (B, ...channels)."""
+        res3 = grid.shape[0] * grid.shape[1] * grid.shape[2]
+        gf = grid.reshape(res3, -1)
+        vals = gf[self.idx]  # (B, 8, C)
+        out = np.einsum("bo,boc->bc", self.w, vals)
+        return out.reshape((self.idx.shape[0],) + grid.shape[3:])
+
+    def adjoint(self, shape, dvals: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`read`; returns a dense gradient array of `shape`.
+
+        One ordered segment sum (`np.bincount`) per channel over the flattened
+        corner indices. Terms are laid out corner-major (all points' corner 0,
+        then corner 1, ...), so every cell adds its terms in the same order as
+        eight sequential unbuffered scatter-adds would.
+        """
+        res3 = shape[0] * shape[1] * shape[2]
+        c = int(np.prod(shape[3:]))
+        dv = dvals.reshape(dvals.shape[0], c)
+        idx = self.idx.T.ravel()
+        wt = np.ascontiguousarray(self.w.T)  # (8, B)
+        out = np.empty((res3, c))
+        for ch in range(c):
+            out[:, ch] = np.bincount(idx, weights=(wt * dv[:, ch]).ravel(), minlength=res3)
+        return out.reshape(shape)
 
 
 def _frustum_points(x_cam: np.ndarray, fr: FrustumSpec):
@@ -325,30 +340,37 @@ def _frustum_points(x_cam: np.ndarray, fr: FrustumSpec):
 # ---------------------------------------------------------------------------
 
 
+class _Mixed(NamedTuple):
+    """Forward intermediates of one time-dependent layer."""
+
+    lookup: _Lookup
+    g: np.ndarray  # (B, K, 5) grid reads
+    a: np.ndarray  # (B, K) mixing coefficients
+    z: np.ndarray  # (B, D) temporal codes
+
+
+def _mixed_layer(params: LayeredFieldParams, which: str, lookup: _Lookup, t_idx):
+    """Pre-activations (B, 5) of layer `which` ('ss' or 'dy') and its record.
+
+    The layer's K grid reads are mixed by coefficients that are linear in
+    the frame's temporal code.
+    """
+    b = params.blocks
+    g = lookup.read(b[f"{which}_grids"])
+    z = params.code_table(which)[t_idx]
+    a = z @ b[f"{which}_zmap_w"].T + b[f"{which}_zmap_b"]
+    return np.einsum("bk,bkc->bc", a, g), _Mixed(lookup, g, a, z)
+
+
 @dataclass
 class LayerEvalCache:
     """Intermediates retained for the hand-written backward pass."""
 
     n_points: int
     t_idx: np.ndarray  # (B,)
-    # world-domain interpolation (static resolution)
-    widx: np.ndarray
-    ww: np.ndarray
-    inb_w: np.ndarray
+    world: _Lookup  # world domain at the static resolution
     phi0: np.ndarray  # (B, C0)
-    # world-domain interpolation at the semi-static resolution
-    sidx: np.ndarray
-    sw: np.ndarray
-    g_ss: np.ndarray  # (B, K, 5)
-    a_ss: np.ndarray  # (B, K)
-    z_ss: np.ndarray  # (B, D)
-    # frustum-domain interpolation
-    didx: np.ndarray
-    dw: np.ndarray
-    inb_d: np.ndarray
-    g_dy: np.ndarray
-    a_dy: np.ndarray
-    z_dy: np.ndarray
+    mixed: tuple[_Mixed, _Mixed]  # semi-static, dynamic
     # pre-activation derivative factors, per layer
     dsig: np.ndarray  # (B, 3) softplus' at density pre-activations
     dcol: np.ndarray  # (B, 3, 3) sigmoid' at color pre-activations
@@ -372,64 +394,38 @@ def eval_layers_batch(
         raise NumericalError("non-finite point coordinates passed to eval_layers")
     cfg = params.config
     b = params.blocks
-    n = pts_world.shape[0]
     t_idx = np.asarray(t_idx, dtype=np.int64)
     if np.any((t_idx < 0) | (t_idx >= cfg.n_frames)):
         raise DomainError("frame index outside [0, T)")
 
-    widx, ww, inb_w = _corner_weights(pts_world, cfg.world_lo, cfg.world_hi, cfg.grid_res)
-    phi0 = _gather(b["phi0"], widx, ww)
-    pre_st = _gather(b["st_grid"], widx, ww) + phi0 @ b["st_head"].T
+    world = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.grid_res)
+    phi0 = world.read(b["phi0"])
+    pre_st = world.read(b["st_grid"]) + phi0 @ b["st_head"].T
+    ss_lookup = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.ss_grid_res)
+    pre_ss, ss = _mixed_layer(params, "ss", ss_lookup, t_idx)
+    pre_ss = pre_ss + phi0 @ b["ss_head"].T
+    # `ok` implies u in [0, 1]^3, so it is the whole dynamic support.
+    upts, ok = _frustum_points(pts_cam, cfg.frustum)
+    dy_lookup = _Lookup.at(upts, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), cfg.dyn_grid_res)
+    pre_dy, dy = _mixed_layer(params, "dy", dy_lookup, t_idx)
 
-    if cfg.ss_grid_res == cfg.grid_res:
-        sidx, sw = widx, ww
-    else:
-        sidx, sw, _ = _corner_weights(pts_world, cfg.world_lo, cfg.world_hi, cfg.ss_grid_res)
-    g_ss = _gather(b["ss_grids"], sidx, sw)  # (B, K, 5)
-    z_ss = params.code_table("ss")[t_idx]  # (B, D)
-    a_ss = z_ss @ b["ss_zmap_w"].T + b["ss_zmap_b"]
-    pre_ss = np.einsum("bk,bkc->bc", a_ss, g_ss) + phi0 @ b["ss_head"].T
-
-    upts, inb_d = _frustum_points(pts_cam, cfg.frustum)
-    didx, dw, inb_box = _corner_weights(upts, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), cfg.dyn_grid_res)
-    inb_d = inb_d & inb_box
-    g_dy = _gather(b["dy_grids"], didx, dw)
-    z_dy = params.code_table("dy")[t_idx]
-    a_dy = z_dy @ b["dy_zmap_w"].T + b["dy_zmap_b"]
-    pre_dy = np.einsum("bk,bkc->bc", a_dy, g_dy)
-
-    pre_sig = np.stack([pre_st[:, 0], pre_ss[:, 0], pre_dy[:, 0]], axis=1)
-    pre_col = np.stack([pre_st[:, 1:4], pre_ss[:, 1:4], pre_dy[:, 1:4]], axis=1)
-    pre_bet = np.stack([pre_st[:, 4], pre_ss[:, 4], pre_dy[:, 4]], axis=1)
-
-    support = np.stack([inb_w, inb_w, inb_d], axis=1).astype(np.float64)
-    sigma = softplus(pre_sig) * support
-    color = sigmoid(pre_col)
-    beta = softplus(pre_bet) + cfg.beta_min
+    pre = np.stack([pre_st, pre_ss, pre_dy], axis=1)  # (B, 3 layers, 5 channels)
+    support = np.stack([world.inside, world.inside, ok], axis=1).astype(np.float64)
+    sigma = softplus(pre[:, :, 0]) * support
+    color = sigmoid(pre[:, :, 1:4])
+    beta = softplus(pre[:, :, 4]) + cfg.beta_min
 
     if not want_cache:
         return sigma, color, beta
     cache = LayerEvalCache(
-        n_points=n,
+        n_points=pts_world.shape[0],
         t_idx=t_idx,
-        widx=widx,
-        ww=ww,
-        inb_w=inb_w,
+        world=world,
         phi0=phi0,
-        sidx=sidx,
-        sw=sw,
-        g_ss=g_ss,
-        a_ss=a_ss,
-        z_ss=z_ss,
-        didx=didx,
-        dw=dw,
-        inb_d=inb_d,
-        g_dy=g_dy,
-        a_dy=a_dy,
-        z_dy=z_dy,
-        dsig=sigmoid(pre_sig) * support,
+        mixed=(ss, dy),
+        dsig=sigmoid(pre[:, :, 0]) * support,
         dcol=color * (1.0 - color),
-        dbet=sigmoid(pre_bet),
+        dbet=sigmoid(pre[:, :, 4]),
     )
     return sigma, color, beta, cache
 
@@ -462,26 +458,22 @@ def backward_eval_layers(
 
     grads: dict[str, np.ndarray] = {}
     if "st_grid" in want:
-        grads["st_grid"] = _scatter(b["st_grid"].shape, cache.widx, cache.ww, dpre_st)
+        grads["st_grid"] = cache.world.adjoint(b["st_grid"].shape, dpre_st)
     if "st_head" in want:
         grads["st_head"] = dpre_st.T @ cache.phi0
     if "ss_head" in want:
         grads["ss_head"] = dpre_ss.T @ cache.phi0
     if "phi0" in want:
         dphi0 = dpre_st @ b["st_head"] + dpre_ss @ b["ss_head"]
-        grads["phi0"] = _scatter(b["phi0"].shape, cache.widx, cache.ww, dphi0)
+        grads["phi0"] = cache.world.adjoint(b["phi0"].shape, dphi0)
 
-    layers = (
-        ("ss", dpre_ss, cache.sidx, cache.sw, cache.g_ss, cache.a_ss, cache.z_ss),
-        ("dy", dpre_dy, cache.didx, cache.dw, cache.g_dy, cache.a_dy, cache.z_dy),
-    )
-    for which, dpre_l, idx, w, g, a, z in layers:
+    for which, dpre_l, (lookup, g, a, z) in zip(("ss", "dy"), (dpre_ss, dpre_dy), cache.mixed):
         grid, zmap_w, zmap_b, code = (
             f"{which}_grids", f"{which}_zmap_w", f"{which}_zmap_b", f"code_{which}"
         )
         if grid in want:
             dg = a[:, :, None] * dpre_l[:, None, :]  # (B, K, 5)
-            grads[grid] = _scatter(b[grid].shape, idx, w, dg)
+            grads[grid] = lookup.adjoint(b[grid].shape, dg)
         if want.isdisjoint((zmap_w, zmap_b, code)):
             continue
         da = np.einsum("bkc,bc->bk", g, dpre_l)

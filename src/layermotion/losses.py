@@ -47,13 +47,15 @@ class LossConfig:
             raise ConfigError("lambda_pmf and lambda_nmf must be non-negative")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
+        if not self.names():
+            raise ConfigError("no loss term enabled; name at least one of rgb, pmf, nmf")
 
     @staticmethod
     def from_names(names, **weights) -> "LossConfig":
         """Enable the named terms; `weights` overrides lambda_pmf, lambda_nmf, threshold.
 
-        Names are stripped and empty ones ignored; an unknown name raises
-        `ConfigError`.
+        Names are stripped and empty ones ignored; an unknown name, or no
+        name at all, raises `ConfigError`.
         """
         names = {str(n).strip() for n in names} - {""}
         unknown = names - {"rgb", "pmf", "nmf"}

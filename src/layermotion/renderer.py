@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RenderError
-from .fields import LayeredFieldParams, eval_layers_batch
+from .fields import LayerEvalCache, LayeredFieldParams, eval_layers_batch
 from .geometry import CameraPose, Ray, camera_rays, clip_ray_to_box, world_to_camera
 
 EPS_SIGMA = 1e-12
@@ -140,7 +140,7 @@ class ForwardCache:
     t_bg: np.ndarray  # (N,)
     deltas: np.ndarray  # (N, K)
     bg: np.ndarray  # (6,)
-    eval_cache: object  # fields.LayerEvalCache
+    eval_cache: LayerEvalCache
 
 
 def _integrate(sigma, deltas, values, bg):

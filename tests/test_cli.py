@@ -195,13 +195,17 @@ class TestFrameRange:
     ("train", "--steps-per-epoch", 0),
     ("train", "--steps-per-epoch", -3),
     ("refine", "--refine-steps", -1),
+    ("train", "--losses", ","),
+    ("refine", "--losses", ","),
 ])
 def test_out_of_range_settings_exit_2(mini_ws, capsys, sub, flag, value):
     # Each run stops before it writes, so the shared workspace stays as it was.
+    before = tree_hashes(mini_ws)
     capsys.readouterr()
     assert run([sub, "--workspace", mini_ws] + TINY + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert tree_hashes(mini_ws) == before
 
 
 class TestBadSidecar:

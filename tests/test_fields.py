@@ -10,8 +10,7 @@ from layermotion.fields import (
     PARTITION,
     FieldConfig,
     FrustumSpec,
-    _corner_weights,
-    _scatter,
+    _Lookup,
     backward_eval_layers,
     eval_layers_batch,
     fourier_rows,
@@ -134,6 +133,8 @@ class TestTemporalCode:
         f = fourier_rows(4, 8)
         assert f.shape == (4, 8)
         np.testing.assert_allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
+        with pytest.raises(ConfigError):
+            fourier_rows(2, 2)  # sin(pi j) vanishes at every integer j
 
 
 class TestEvalLayers:
@@ -210,18 +211,18 @@ class TestEvalLayers:
 
 
 class TestScatter:
-    """The bincount scatter against the `np.add.at` oracle.
+    """The bincount adjoint of a lookup against the `np.add.at` oracle.
 
     Both add each cell's terms in the same order, so they agree exactly.
     """
 
     @staticmethod
     def check(shape, pts, seed):
-        flat, w, _ = _corner_weights(pts, (-1.0,) * 3, (1.0,) * 3, shape[0])
+        lookup = _Lookup.at(pts, (-1.0,) * 3, (1.0,) * 3, shape[0])
         dv = np.random.default_rng(seed).standard_normal((pts.shape[0],) + shape[3:])
-        out = _scatter(shape, flat, w, dv)
+        out = lookup.adjoint(shape, dv)
         assert out.shape == shape and out.flags.c_contiguous
-        np.testing.assert_array_equal(out, naive_scatter(shape, flat, w, dv))
+        np.testing.assert_array_equal(out, naive_scatter(shape, lookup.idx, lookup.w, dv))
 
     @pytest.mark.parametrize(
         "shape", [(6, 6, 6, 4), (5, 5, 5, 1), (5, 5, 5), (4, 4, 4, 3, 5), (7, 7, 7, 2, 5)]
@@ -257,6 +258,7 @@ class TestBackwardSubset:
 
     def test_time_dependent_blocks_match_full_call(self):
         params, cache, upstream = self.cached_eval(small_config(), 20)
+        assert cache.n_points == 80  # read by perfbench/tracer.py
         full = backward_eval_layers(params, cache, *upstream)
         assert set(full) == set(BLOCK_NAMES)
         wrt = PARTITION["ss"] + PARTITION["dy"]
