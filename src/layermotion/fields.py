@@ -73,10 +73,7 @@ def logit(p):
 
 
 def _sinusoid(p: int, n: int) -> np.ndarray | None:
-    """Unit-norm sinusoid p over n samples, or None where it vanishes.
-
-    Sinusoid p has frequency ceil(p/2); odd p are sines, even p cosines.
-    """
+    """Row p of :func:`fourier_rows` at length n, or None where it vanishes."""
     f = (p + 1) // 2
     phase = 2.0 * np.pi * f * np.arange(n) / n
     wave = np.sin(phase) if p % 2 == 1 else np.cos(phase)
@@ -85,7 +82,10 @@ def _sinusoid(p: int, n: int) -> np.ndarray | None:
 
 
 def fourier_rows(n_rows: int, n_cols: int) -> np.ndarray:
-    """The first `n_rows` sinusoids of :func:`_sinusoid` as rows of length `n_cols`."""
+    """Unit-norm sinusoid rows: row p has frequency ceil(p/2), sin/cos alternating.
+
+    A row that vanishes at length `n_cols` raises `ConfigError`.
+    """
     rows = np.empty((n_rows, n_cols))
     for p in range(n_rows):
         row = _sinusoid(p, n_cols)
