@@ -29,7 +29,11 @@ EPS_SIGMA = 1e-12
 DELTA_CAP = 8.0  # pseudo-width of the last sample, meters
 CHANNELS = ("color", "uncertainty", "mask_ss", "mask_dy", "mask_st", "t_bg")
 RENDER_SAMPLES = 64  # default quadrature nodes per rendered ray
-RENDER_CHUNK = 1024  # pixels per work item of render_frame
+# Sample points per work item of render_frame: one training gradient chunk
+# (512 rays x 16 samples). Sizing items in points, not pixels, keeps each
+# item's gathered grid corners (under 8 MB for a 15-channel grid) the same
+# size at any sample count; 1,024-pixel items at 64 samples ran memory-bound.
+RENDER_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -258,8 +262,9 @@ def render_frame(
 ) -> dict[str, np.ndarray]:
     """Render a full frame; pixel (ix, iy) equals the single-ray render there.
 
-    Work is split into fixed-size pixel chunks written to disjoint output
-    slices, so results are bit-identical for any worker count.
+    Work is split into items of about RENDER_POINTS sample points, written
+    to disjoint output slices. Every pixel is computed independently of the
+    others, so results are bit-identical for any worker count and item size.
     """
     t = pose.frame_index if t is None else int(t)
     bad = set(channels) - set(CHANNELS)
@@ -276,8 +281,10 @@ def render_frame(
         for name in channels
     }
 
+    chunk = max(1, RENDER_POINTS // n_samples)
+
     def run_chunk(start: int) -> None:
-        stop = min(start + RENDER_CHUNK, n_pix)
+        stop = min(start + chunk, n_pix)
         sl = slice(start, stop)
         depths, deltas = sample_depths(t_near[sl], t_far[sl], n_samples)
         pts = origin[None, None, :] - nu[sl][:, None, :] * depths[:, :, None]
@@ -288,7 +295,7 @@ def render_frame(
         for name in channels:
             out[name][sl] = getattr(bundle, name)
 
-    starts = range(0, n_pix, RENDER_CHUNK)
+    starts = range(0, n_pix, chunk)
     if workers <= 1:
         for s in starts:
             run_chunk(s)

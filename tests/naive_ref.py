@@ -1,7 +1,10 @@
 """Independent scalar reference implementations used as test oracles.
 
 Everything here is written with plain Python loops and math.* calls,
-deliberately sharing no code with the package's vectorized paths.
+deliberately sharing no code with the package's vectorized paths. The
+exceptions are `naive_scatter` and `naive_sigmoid`: the straightforward
+former forms of package kernels, kept to check their faster replacements
+for exact equality.
 """
 
 import math
@@ -18,10 +21,14 @@ def naive_softplus(x):
 
 
 def naive_sigmoid(x):
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    """Elementwise logistic in two masked branches, each with its own exponential."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def naive_trilinear(grid, point, lo, hi, res):
@@ -103,7 +110,7 @@ def naive_eval_point(params, x, x_cam, t):
     layers = []
     for pre, inside in ((pre_st, in_world), (pre_ss, in_world), (pre_dy, in_frustum)):
         sigma = naive_softplus(pre[0]) if inside else 0.0
-        color = np.array([naive_sigmoid(pre[i]) for i in (1, 2, 3)])
+        color = naive_sigmoid(pre[1:4])
         beta = naive_softplus(pre[4]) + cfg.beta_min
         layers.append((sigma, color, beta))
     return layers

@@ -106,16 +106,34 @@ class TestMissingArtifacts:
         assert run(["refine", "--workspace", ws]) == 3
         assert "model.lmf" in capsys.readouterr().err
 
-    def test_truncated_checkpoint(self, tmp_path, capsys):
+    @staticmethod
+    def workspace_with_checkpoint(tmp_path):
         ws = tmp_path / "ws"
         assert run(["generate", "--workspace", ws, "--scene", "mini:6x24x24"]) == 0
         frustum = FrustumSpec(fx=8.0, fy=8.0, cx=3.5, cy=3.5, width=8, height=8)
         ckpt = ws / "checkpoints" / "model.lmf"
         ckpt.parent.mkdir(exist_ok=True)
         save_checkpoint(zero_params(FieldConfig(n_frames=6, frustum=frustum)), ckpt)
+        return ws, ckpt
+
+    def test_truncated_checkpoint(self, tmp_path, capsys):
+        ws, ckpt = self.workspace_with_checkpoint(tmp_path)
         ckpt.write_bytes(ckpt.read_bytes()[:-1])
         assert run(["render", "--workspace", ws, "--frames", "0"]) == 3
         assert "cut short" in capsys.readouterr().err
+
+    def test_flipped_block_name_length(self, tmp_path, capsys):
+        # Byte 8 is the first block's name length; a flip used to misparse the
+        # header into a zero-size shape and end in a raw ValueError.
+        ws, ckpt = self.workspace_with_checkpoint(tmp_path)
+        data = bytearray(ckpt.read_bytes())
+        data[8] ^= 0x01
+        ckpt.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert run(["render", "--workspace", ws, "--frames", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and err.count("\n") == 1
+        assert "unexpected blocks" in err
 
 
 def _cut_meta(d):

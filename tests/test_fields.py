@@ -1,8 +1,11 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from layermotion.errors import ConfigError, DataError, DomainError
 from layermotion.fields import (
@@ -17,12 +20,13 @@ from layermotion.fields import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    sigmoid,
     softplus,
     softplus_inv,
     zero_params,
 )
 
-from naive_ref import naive_eval_point, naive_scatter
+from naive_ref import naive_eval_point, naive_scatter, naive_sigmoid
 
 
 def small_frustum(n=8):
@@ -384,12 +388,35 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="is cut short"):
             load_checkpoint(path)
 
+    # Each header is checked against the sidecar config before its data is
+    # read. A flipped name length (byte 8) used to run the reader into the
+    # next fields and end in a raw ValueError from a zero-size reshape.
+    @pytest.mark.parametrize("offset, flip, message", [
+        (8, 0x01, "unexpected blocks"),
+        (13, 0x01, "unexpected blocks \\['phi1'\\]"),
+        (14, 0x07, "block 'phi0' has shape \\(5, 5, 5\\),"),
+        (15, 0x05, "block 'phi0' has shape \\(0, 5, 5, 2\\)"),
+    ], ids=["name_length", "name", "rank", "shape_zero"])
+    def test_flipped_header_byte(self, tmp_path, offset, flip, message):
+        params = zero_params(small_config())
+        path = tmp_path / "model.lmf"
+        save_checkpoint(params, path)
+        data = bytearray(path.read_bytes())
+        data[offset] ^= flip
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
 
 def write_lmf(path, blocks):
-    """An LMF1 container holding exactly `blocks`, independent of save_checkpoint."""
+    """An LMF1 container holding exactly `blocks`, independent of save_checkpoint.
+
+    `blocks` is a dict or a list of (name, array) pairs, which may repeat a name.
+    """
+    items = list(blocks.items()) if isinstance(blocks, dict) else blocks
     with open(path, "wb") as fh:
-        fh.write(b"LMF1" + struct.pack("<I", len(blocks)))
-        for name, arr in blocks.items():
+        fh.write(b"LMF1" + struct.pack("<I", len(items)))
+        for name, arr in items:
             fh.write(struct.pack("<H", len(name)) + name.encode("ascii"))
             fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             fh.write(np.asarray(arr, dtype="<f8").tobytes())
@@ -439,6 +466,12 @@ class TestCheckpointValidation:
         with pytest.raises(DataError, match="unexpected blocks \\['bogus'\\]"):
             load_checkpoint(path)
 
+    def test_duplicate_block(self, tmp_path):
+        params, path, _, _ = self.saved(tmp_path)
+        write_lmf(path, [*params.blocks.items(), ("phi0", params.blocks["phi0"])])
+        with pytest.raises(DataError, match="block 'phi0' appears twice"):
+            load_checkpoint(path)
+
     def test_missing_block(self, tmp_path):
         params, path, _, _ = self.saved(tmp_path)
         write_lmf(path, {k: v for k, v in params.blocks.items() if k != "code_dy"})
@@ -459,6 +492,74 @@ class TestCheckpointValidation:
         assert meta == {"losses": ["rgb"]}
         for name in BLOCK_NAMES:
             np.testing.assert_array_equal(loaded.blocks[name], params.blocks[name])
+
+
+def lmf_header_offsets(params):
+    """Byte offsets of the container header and of every block header."""
+    offsets = list(range(8))
+    pos = 8
+    for name in BLOCK_NAMES:
+        shape = params.blocks[name].shape
+        n = 2 + len(name) + 1 + 4 * len(shape)
+        offsets += range(pos, pos + n)
+        pos += n + 8 * math.prod(shape)
+    return offsets
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    # Zero blocks, like the empty regions of a baked model: a header misread
+    # into zero data then claims a zero-size block instead of a huge one.
+    params = zero_params(small_config())
+    path = tmp_path_factory.mktemp("ckpt") / "model.lmf"
+    save_checkpoint(params, path, meta={"losses": ["rgb"]})
+    return path, lmf_header_offsets(params)
+
+
+@pytest.mark.parametrize("name", ["model.lmf", "model.lmf.json"])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cut_or_flipped_checkpoint_loads_or_raises_data_error(saved_checkpoint, name, data):
+    ckpt, header = saved_checkpoint
+    path = ckpt.parent / name
+    original = path.read_bytes()
+    anywhere = st.integers(0, len(original) - 1)
+    if name == "model.lmf":
+        anywhere = st.one_of(st.sampled_from(header), anywhere)
+    offset = data.draw(anywhere, label="offset")
+    if data.draw(st.booleans(), label="cut"):
+        mutated = original[:offset]
+    else:
+        flip = data.draw(st.integers(1, 255), label="xor")
+        mutated = original[:offset] + bytes([original[offset] ^ flip]) + original[offset + 1 :]
+    path.write_bytes(mutated)
+    try:
+        load_checkpoint(ckpt)
+    except DataError:
+        pass
+    finally:
+        path.write_bytes(original)
+
+
+class TestSigmoid:
+    """`sigmoid` computes the same float operations as the two-branch oracle."""
+
+    def test_edge_values(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0,
+                      800.0, -800.0, np.inf, -np.inf, np.nan])
+        np.testing.assert_array_equal(sigmoid(x), naive_sigmoid(x))
+        assert sigmoid(-800.0) == 0.0 and sigmoid(800.0) == 1.0
+
+    def test_random_draws(self):
+        x = 8.0 * np.random.default_rng(40).standard_normal((65_536, 3, 3))
+        np.testing.assert_array_equal(sigmoid(x), naive_sigmoid(x))
+
+    def test_strided_view(self):
+        # The colour pre-activations are channels 1..3 of a (B, 3, 5) stack.
+        pre = 8.0 * np.random.default_rng(41).standard_normal((4096, 3, 5))
+        view = pre[:, :, 1:4]
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(sigmoid(view), naive_sigmoid(view))
 
 
 def test_config_validation():

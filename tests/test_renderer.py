@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from layermotion import renderer
 from layermotion.bake import bake_scene
 from layermotion.errors import DomainError
 from layermotion.fields import softplus_inv, zero_params
 from layermotion.geometry import look_at, ray_through_pixel
 from layermotion.renderer import (
     DELTA_CAP,
-    RENDER_CHUNK,
+    RENDER_POINTS,
     RaySamples,
     composite_point,
     render_batch,
@@ -223,8 +224,9 @@ class TestRenderFrame:
                 assert frame["t_bg"][iy, ix] == pytest.approx(single.t_bg, abs=1e-12)
 
     def test_worker_count_invariance(self):
-        # 48 x 48 = 2304 pixels: three render chunks, so three workers split the frame.
-        assert 2 * RENDER_CHUNK < 48 * 48
+        # 48 x 48 = 2304 pixels in items of RENDER_POINTS // 12 pixels (682 at
+        # 8192 points): at least three items, so three workers split the frame.
+        assert 2 * (RENDER_POINTS // 12) < 48 * 48
         cfg = small_config(frustum=small_frustum(48))
         params = randomized_params(cfg, seed=31)
         pose = look_at((0.7, -0.2, 0.1), (0, 0, 0), fx=8, fy=8, cx=23.5, cy=23.5)
@@ -232,6 +234,20 @@ class TestRenderFrame:
         b = render_frame(params, pose, n_samples=12, workers=3)
         for key in a:
             np.testing.assert_array_equal(a[key], b[key])
+
+    # At 12 samples the default renders this 400-pixel frame as one item. The
+    # split runs use items of 1 pixel (also from fewer points than one ray
+    # has), 3, 7 and 133 pixels (400 = 3 x 133 + 1 leaves a 1-pixel tail).
+    @pytest.mark.parametrize("points", [5, 12, 36, 84, 133 * 12])
+    def test_work_item_size_invariance(self, monkeypatch, points):
+        cfg = small_config(frustum=small_frustum(20))
+        params = randomized_params(cfg, seed=32)
+        pose = look_at((0.7, 0.2, -0.1), (0, 0, 0), fx=8, fy=8, cx=9.5, cy=9.5)
+        whole = render_frame(params, pose, n_samples=12)
+        monkeypatch.setattr(renderer, "RENDER_POINTS", points)
+        split = render_frame(params, pose, n_samples=12)
+        for key in whole:
+            np.testing.assert_array_equal(split[key], whole[key])
 
     def test_unknown_channel_rejected(self):
         params = zero_params(small_config())
