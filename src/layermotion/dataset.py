@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import imgio
 from .errors import DataError, MissingArtifactError
-from .fields import FieldConfig, FrustumSpec
+from .fields import FieldConfig, FrustumSpec, check_world_box
 from .geometry import CameraPose, camera_rays, load_cameras, save_cameras
 from .losses import RayBatch
 from .renderer import sample_depths
@@ -214,15 +213,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_finite_number(v) -> bool:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _read_meta(path: Path) -> dict:
     """meta.json, checked for every key that loading and ray building read."""
     if not path.exists():
@@ -236,10 +226,7 @@ def _read_meta(path: Path) -> dict:
     t_total = meta.get("n_frames")
     if not _is_int(t_total) or t_total < 1:
         raise DataError(f"{path}: n_frames must be a positive integer, got {t_total!r}")
-    for key in ("world_lo", "world_hi"):
-        box = meta.get(key)
-        if not (isinstance(box, list) and len(box) == 3 and all(_is_finite_number(v) for v in box)):
-            raise DataError(f"{path}: {key} must be a list of 3 finite numbers, got {box!r}")
+    check_world_box(meta.get("world_lo"), meta.get("world_hi"), str(path))
     frames = meta.get("eval_frames", [])
     if not (isinstance(frames, list) and all(_is_int(t) and 0 <= t < t_total for t in frames)):
         raise DataError(f"{path}: eval_frames must be frame indices in [0, {t_total})")

@@ -268,19 +268,22 @@ class _Lookup:
     def at(cls, pts: np.ndarray, lo, hi, res: int) -> "_Lookup":
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
+        inside = (pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
+        for a in (1, 2):
+            inside &= (pts[:, a] >= lo[a]) & (pts[:, a] <= hi[a])
         g = (pts - lo) / (hi - lo) * (res - 1)
         g = np.clip(g, 0.0, res - 1.0)
         i0 = np.minimum(g.astype(np.int64), res - 2)
-        f = g - i0
         base = (i0[:, 0] * res + i0[:, 1]) * res + i0[:, 2]
         offsets = (_CORNERS[:, 0] * res + _CORNERS[:, 1]) * res + _CORNERS[:, 2]
-        fx, fy, fz = f[:, 0:1], f[:, 1:2], f[:, 2:3]
-        wx = np.concatenate([1.0 - fx, fx], axis=1)  # (B, 2)
-        wy = np.concatenate([1.0 - fy, fy], axis=1)
-        wz = np.concatenate([1.0 - fz, fz], axis=1)
-        w = (wx[:, :, None, None] * wy[:, None, :, None] * wz[:, None, None, :]).reshape(-1, 8)
-        return cls(base[:, None] + offsets[None, :], w, inside)
+        # One contiguous (B,) row per axis and corner weight; corner
+        # o = 4i + 2j + k gets (wx[i] * wy[j]) * wz[k], the product order of
+        # a (B, 2, 2, 2) broadcast outer product, without building one.
+        fx, fy, fz = np.ascontiguousarray((g - i0).T)
+        wz = (1.0 - fz, fz)
+        wxy = [a * b for a in (1.0 - fx, fx) for b in (1.0 - fy, fy)]
+        w = np.stack([wxy[o >> 1] * wz[o & 1] for o in range(8)])  # (8, B)
+        return cls(base[:, None] + offsets[None, :], w.T, inside)
 
     def read(self, grid: np.ndarray) -> np.ndarray:
         """Trilinear read; `grid` is (R, R, R, ...channels) -> (B, ...channels)."""
@@ -373,6 +376,19 @@ class LayerEvalCache:
     dbet: np.ndarray  # (B, 3) softplus' at uncertainty pre-activations
 
 
+def _check_points(pts_world: np.ndarray, pts_cam: np.ndarray) -> None:
+    if not (np.all(np.isfinite(pts_world)) and np.all(np.isfinite(pts_cam))):
+        raise NumericalError("non-finite point coordinates passed to eval_layers")
+
+
+def _activate(pre: np.ndarray, support: np.ndarray, beta_min: float):
+    """(sigma, color, beta) from (B, 3 layers, 5 channels) pre-activations."""
+    sigma = softplus(pre[:, :, 0]) * support
+    color = sigmoid(pre[:, :, 1:4])
+    beta = softplus(pre[:, :, 4]) + beta_min
+    return sigma, color, beta
+
+
 def eval_layers_batch(
     params: LayeredFieldParams,
     pts_world: np.ndarray,
@@ -386,8 +402,7 @@ def eval_layers_batch(
     layer axis ordered (static, semi-static, dynamic). Density is zero
     outside a layer's spatial support.
     """
-    if not (np.all(np.isfinite(pts_world)) and np.all(np.isfinite(pts_cam))):
-        raise NumericalError("non-finite point coordinates passed to eval_layers")
+    _check_points(pts_world, pts_cam)
     cfg = params.config
     b = params.blocks
     t_idx = np.asarray(t_idx, dtype=np.int64)
@@ -407,9 +422,7 @@ def eval_layers_batch(
 
     pre = np.stack([pre_st, pre_ss, pre_dy], axis=1)  # (B, 3 layers, 5 channels)
     support = np.stack([world.inside, world.inside, ok], axis=1).astype(np.float64)
-    sigma = softplus(pre[:, :, 0]) * support
-    color = sigmoid(pre[:, :, 1:4])
-    beta = softplus(pre[:, :, 4]) + cfg.beta_min
+    sigma, color, beta = _activate(pre, support, cfg.beta_min)
 
     if not want_cache:
         return sigma, color, beta
@@ -424,6 +437,55 @@ def eval_layers_batch(
         dbet=sigmoid(pre[:, :, 4]),
     )
     return sigma, color, beta, cache
+
+
+class FrameField:
+    """Forward-only evaluation of all three layers at one frame index.
+
+    At a fixed frame the time mixing and the linear heads are one linear map
+    per layer, and a linear map commutes with trilinear interpolation. The
+    constructor folds them into three grids, once:
+
+      world       (grid_res, 10 channels): st_grid + phi0 @ st_head^T next
+                  to phi0 @ ss_head^T;
+      semi-static (ss_grid_res, 5):  sum_k a_k(t) ss_grids[..., k, :];
+      dynamic     (dyn_grid_res, 5): sum_k a_k(t) dy_grids[..., k, :].
+
+    Each point then takes three lookups of 20 channels in all, where
+    :func:`eval_layers_batch` reads 39 and applies the maps per point. The
+    results agree with it to rounding (about 1e-15), not bit for bit.
+    """
+
+    def __init__(self, params: LayeredFieldParams, t: int):
+        cfg = params.config
+        if not 0 <= t < cfg.n_frames:
+            raise DomainError("frame index outside [0, T)")
+        b = params.blocks
+        self.config = cfg
+        self.world = np.concatenate(
+            [b["st_grid"] + b["phi0"] @ b["st_head"].T, b["phi0"] @ b["ss_head"].T], axis=-1
+        )
+        self.ss, self.dy = (
+            np.einsum(
+                "k,...kc->...c",
+                params.code_table(w)[t] @ b[f"{w}_zmap_w"].T + b[f"{w}_zmap_b"],
+                b[f"{w}_grids"],
+            )
+            for w in ("ss", "dy")
+        )
+
+    def eval(self, pts_world: np.ndarray, pts_cam: np.ndarray):
+        """(sigma (B, 3), color (B, 3, 3), beta (B, 3)) as :func:`eval_layers_batch`."""
+        _check_points(pts_world, pts_cam)
+        cfg = self.config
+        world = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.grid_res)
+        pre_w = world.read(self.world)
+        pre_ss = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.ss_grid_res).read(self.ss)
+        upts, ok = _frustum_points(pts_cam, cfg.frustum)
+        pre_dy = _Lookup.at(upts, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), cfg.dyn_grid_res).read(self.dy)
+        pre = np.stack([pre_w[:, :5], pre_ss + pre_w[:, 5:], pre_dy], axis=1)
+        support = np.stack([world.inside, world.inside, ok], axis=1).astype(np.float64)
+        return _activate(pre, support, cfg.beta_min)
 
 
 def backward_eval_layers(
@@ -532,12 +594,35 @@ def _checked_keys(d, cls, where: str) -> dict:
     return dict(d)
 
 
+def _is_finite_number(v) -> bool:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def check_world_box(lo, hi, where: str) -> tuple[tuple, tuple]:
+    """The world box corners `lo`, `hi` as read from JSON, as two tuples.
+
+    Each corner must be a list of 3 finite numbers, and lo < hi on every
+    axis; anything else raises `DataError`.
+    """
+    for key, box in (("world_lo", lo), ("world_hi", hi)):
+        if not (isinstance(box, list) and len(box) == 3 and all(_is_finite_number(v) for v in box)):
+            raise DataError(f"{where}: {key} must be a list of 3 finite numbers, got {box!r}")
+    if not all(a < b for a, b in zip(lo, hi)):
+        raise DataError(f"{where}: world_lo must be below world_hi on every axis, got {lo} and {hi}")
+    return tuple(lo), tuple(hi)
+
+
 def read_sidecar(path) -> tuple[FieldConfig, dict]:
     """The validated JSON sidecar of the checkpoint at `path`: (config, meta).
 
     Every defect (no file, invalid JSON, no `config`, config keys other
-    than the fields of :class:`FieldConfig`, or values it rejects) raises
-    `DataError`.
+    than the fields of :class:`FieldConfig`, a malformed world box, or
+    values it rejects) raises `DataError`.
     """
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
@@ -552,12 +637,13 @@ def read_sidecar(path) -> tuple[FieldConfig, dict]:
     if not isinstance(meta, dict):
         raise DataError(f"{sidecar_path}: 'meta' is not a JSON object")
     cfg_d = _checked_keys(sidecar["config"], FieldConfig, f"{sidecar_path}: config")
+    cfg_d["world_lo"], cfg_d["world_hi"] = check_world_box(
+        cfg_d["world_lo"], cfg_d["world_hi"], f"{sidecar_path}: config"
+    )
     try:
         cfg_d["frustum"] = FrustumSpec(
             **_checked_keys(cfg_d["frustum"], FrustumSpec, f"{sidecar_path}: frustum")
         )
-        for key in ("world_lo", "world_hi"):
-            cfg_d[key] = tuple(cfg_d[key])
         return FieldConfig(**cfg_d), meta
     except (ConfigError, TypeError, ValueError) as e:
         raise DataError(f"{sidecar_path}: bad config ({e})") from e

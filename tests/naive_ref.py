@@ -2,9 +2,9 @@
 
 Everything here is written with plain Python loops and math.* calls,
 deliberately sharing no code with the package's vectorized paths. The
-exceptions are `naive_scatter` and `naive_sigmoid`: the straightforward
-former forms of package kernels, kept to check their faster replacements
-for exact equality.
+exceptions are `naive_scatter`, `naive_sigmoid` and `naive_lookup`: the
+straightforward former forms of package kernels, kept to check their faster
+replacements for exact equality.
 """
 
 import math
@@ -29,6 +29,30 @@ def naive_sigmoid(x):
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+_CORNERS = np.array(
+    [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=np.int64
+)
+
+
+def naive_lookup(pts, lo, hi, res):
+    """(idx, w, inside) of a trilinear lookup, by a broadcast outer product of axis weights."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
+    g = (pts - lo) / (hi - lo) * (res - 1)
+    g = np.clip(g, 0.0, res - 1.0)
+    i0 = np.minimum(g.astype(np.int64), res - 2)
+    f = g - i0
+    base = (i0[:, 0] * res + i0[:, 1]) * res + i0[:, 2]
+    offsets = (_CORNERS[:, 0] * res + _CORNERS[:, 1]) * res + _CORNERS[:, 2]
+    fx, fy, fz = f[:, 0:1], f[:, 1:2], f[:, 2:3]
+    wx = np.concatenate([1.0 - fx, fx], axis=1)  # (B, 2)
+    wy = np.concatenate([1.0 - fy, fy], axis=1)
+    wz = np.concatenate([1.0 - fz, fz], axis=1)
+    w = (wx[:, :, None, None] * wy[:, None, :, None] * wz[:, None, None, :]).reshape(-1, 8)
+    return base[:, None] + offsets[None, :], w, inside
 
 
 def naive_trilinear(grid, point, lo, hi, res):

@@ -77,6 +77,11 @@ class TestMeta:
         with pytest.raises(DataError, match=key):
             load_dataset(ds_copy)
 
+    def test_world_box_empty_on_an_axis(self, ds_copy):
+        edit_meta(ds_copy, world_lo=[-1.25, 5.0, -1.25])
+        with pytest.raises(DataError, match="world_lo must be below world_hi on every axis"):
+            load_dataset(ds_copy)
+
     @pytest.mark.parametrize("frames", [[0, 6], [-1], [0.5], 3])
     def test_eval_frames_outside_range(self, ds_copy, frames):
         edit_meta(ds_copy, eval_frames=frames)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from layermotion.errors import ConfigError, DataError, DomainError
+from layermotion.errors import ConfigError, DataError, DomainError, NumericalError
 from layermotion.fields import (
     BLOCK_NAMES,
     PARTITION,
     FieldConfig,
+    FrameField,
     FrustumSpec,
     _Lookup,
     backward_eval_layers,
@@ -26,7 +27,7 @@ from layermotion.fields import (
     zero_params,
 )
 
-from naive_ref import naive_eval_point, naive_scatter, naive_sigmoid
+from naive_ref import naive_eval_point, naive_lookup, naive_scatter, naive_sigmoid
 
 
 def small_frustum(n=8):
@@ -212,6 +213,61 @@ class TestEvalLayers:
         assert np.all(sigma >= 0) and np.all(np.isfinite(sigma))
         assert np.all(beta >= cfg.beta_min) and np.all(np.isfinite(beta))
         assert np.all((color >= 0) & (color <= 1))
+
+
+class TestFrameField:
+    """The per-frame folded evaluator against the per-point path, to rounding."""
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 6])
+    def test_matches_eval_layers_batch(self, n_frames):
+        cfg = small_config(
+            n_frames=n_frames, grid_res=6, ss_grid_res=5, dyn_grid_res=4, mix_k=2, dyn_mix_k=3
+        )
+        params = randomized_params(cfg, seed=40 + n_frames)
+        pts, pts_cam, _ = sample_points(cfg, 240, seed=41)
+        pts[:60] *= 3.0  # mostly outside the world box
+        pts_cam[40:80, 2] *= -1.0  # behind the camera
+        for t in range(n_frames):
+            want = eval_layers_batch(params, pts, pts_cam, np.full(len(pts), t))
+            got = FrameField(params, t).eval(pts, pts_cam)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
+        assert np.any(want[0][:60, 0] == 0.0) and np.all(want[0][40:80, 2] == 0.0)
+
+    def test_keeps_the_errors(self):
+        params = zero_params(small_config())
+        for t in (5, -1):
+            with pytest.raises(DomainError, match="frame index"):
+                FrameField(params, t)
+        field = FrameField(params, 4)
+        for bad in (np.array([[np.nan, 0.0, 0.0]]), np.array([[0.0, np.inf, 0.0]])):
+            with pytest.raises(NumericalError):
+                field.eval(bad, np.zeros((1, 3)))
+            with pytest.raises(NumericalError):
+                field.eval(np.zeros((1, 3)), bad)
+
+
+class TestLookup:
+    """`_Lookup.at` against its former broadcast form, byte for byte."""
+
+    @pytest.mark.parametrize("res", [2, 12, 24])
+    def test_matches_oracle(self, res):
+        lo, hi = np.array([-1.25, -0.5, 0.0]), np.array([1.25, 2.0, 0.75])
+        rng = np.random.default_rng(res)
+        inner = rng.uniform(lo, hi, (300, 3))
+        # Each of 120 points moved onto one of the six faces, in turn.
+        faces = inner[:120].copy()
+        axis, on_hi = np.arange(120) % 3, np.arange(120) // 3 % 2 == 1
+        faces[np.arange(120), axis] = np.where(on_hi, hi[axis], lo[axis])
+        corners = np.array([[(lo, hi)[c][a] for a, c in enumerate(ijk)] for ijk in np.ndindex(2, 2, 2)])
+        outside = rng.uniform(lo - 1.0, hi + 1.0, (300, 3))
+        pts = np.concatenate([inner, faces, corners, outside])
+        lookup = _Lookup.at(pts, lo, hi, res)
+        want = naive_lookup(pts, lo, hi, res)
+        for got, ref in zip((lookup.idx, lookup.w, lookup.inside), want):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+        assert lookup.inside[:428].all() and not lookup.inside[428:].all()
 
 
 class TestScatter:
@@ -458,6 +514,25 @@ class TestCheckpointValidation:
         del doc["config"]["frustum"]["far"]
         sidecar.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="missing keys \\['far'\\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["world_lo", "world_hi"])
+    @pytest.mark.parametrize(
+        "box", ["abc", [1, 1], [1.0, "a", 1.0], [1.0, 1.0, True], 1.25, None, [1.0, 1.0, math.inf]]
+    )
+    def test_world_box_not_3_finite_numbers(self, tmp_path, key, box):
+        _, path, sidecar, doc = self.saved(tmp_path)
+        doc["config"][key] = box
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"{key} must be a list of 3 finite numbers"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("lo", [[1.25, -1.25, -1.25], [-1.25, -1.25, 2.0]])
+    def test_world_box_empty_on_an_axis(self, tmp_path, lo):
+        _, path, sidecar, doc = self.saved(tmp_path)
+        doc["config"]["world_lo"] = lo
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="world_lo must be below world_hi on every axis"):
             load_checkpoint(path)
 
     def test_extra_block(self, tmp_path):
