@@ -29,7 +29,6 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
@@ -42,7 +41,6 @@ def checkout_facts(checkout: Path) -> dict:
     """Commit and `src/` tree hash; `dirty` is None outside a git checkout."""
     commit = git(checkout, "rev-parse", "HEAD")
     return {
-        "path": str(checkout),
         "commit": commit,
         "src_tree": git(checkout, "rev-parse", "HEAD:src"),
         "dirty": bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench")) if commit else None,
