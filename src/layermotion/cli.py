@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -52,7 +53,7 @@ _SETTINGS = {
     "rays_per_step": (int, TrainConfig.rays_per_step, None),
     "n_samples": (int, TrainConfig.n_samples, None),
     "lr": (float, TrainConfig.learning_rate, None),
-    "losses": (str, ",".join(TrainConfig.losses), "subset of rgb,pmf,nmf"),
+    "losses": (str, ",".join(LossConfig().names()), "subset of rgb,pmf,nmf"),
     "lambda_pmf": (float, LossConfig.lambda_pmf, None),
     "lambda_nmf": (float, LossConfig.lambda_nmf, None),
     "threshold": (float, LossConfig.threshold, None),
@@ -183,10 +184,12 @@ def _optim_settings(cfg: dict) -> dict:
     return dict(
         rays_per_step=cfg["rays_per_step"],
         n_samples=cfg["n_samples"],
-        losses=LossConfig.from_names(cfg["losses"].split(",")).names(),
-        lambda_pmf=cfg["lambda_pmf"],
-        lambda_nmf=cfg["lambda_nmf"],
-        threshold=cfg["threshold"],
+        loss=LossConfig.from_names(
+            cfg["losses"].split(","),
+            lambda_pmf=cfg["lambda_pmf"],
+            lambda_nmf=cfg["lambda_nmf"],
+            threshold=cfg["threshold"],
+        ),
         seed=cfg["seed"],
         workers=cfg["workers"],
     )
@@ -240,7 +243,7 @@ def cmd_train(args) -> int:
         raise NumericalError(f"{e} (see log at {log_path})") from e
     _write_log(log_path, log)
     ckpt = ws.dir("checkpoints") / "model.lmf"
-    meta = {"losses": list(tc.losses), "refined": False, "seed": cfg["seed"], "scene": ds.meta.get("name")}
+    meta = {"losses": list(tc.loss.names()), "refined": False, "seed": cfg["seed"], "scene": ds.meta.get("name")}
     save_checkpoint(params, ckpt, meta)
     ws.record("train", "checkpoint", [ckpt, Path(str(ckpt) + ".json"), log_path])
     print(f"trained {tc.epochs} epochs ({len(log)} steps) -> {ckpt}")
@@ -293,6 +296,25 @@ def _pick_checkpoint(ws: Workspace) -> Path:
     raise MissingArtifactError(f"no checkpoint under {ws.root / 'checkpoints'} (run train first)")
 
 
+def _render_source(ws: Workspace, ckpt: Path) -> dict:
+    """What `renders/source.json` records: the checkpoint the renders came from."""
+    return {"checkpoint": ckpt.relative_to(ws.root).as_posix(), "sha256": sha256_file(ckpt)}
+
+
+def _check_render_source(ws: Workspace, ckpt: Path) -> None:
+    """Raise `DataError` unless `renders/source.json` names `ckpt` as it is now."""
+    path = ws.root / "renders" / "source.json"
+    try:
+        source = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
+        raise DataError(f"{path}: cannot tell which checkpoint made the renders ({e})") from e
+    if source != _render_source(ws, ckpt):
+        raise DataError(
+            f"{path}: the renders come from {source!r}, not from the current "
+            f"{ckpt.relative_to(ws.root).as_posix()}; rerun render"
+        )
+
+
 def cmd_render(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
@@ -321,6 +343,9 @@ def cmd_render(args) -> int:
             imgio.write_f64(raw, out[key])
             created.append(raw)
         created.extend(paths.values())
+    source = out_dir / "source.json"
+    source.write_text(json.dumps(_render_source(ws, ckpt), indent=1, sort_keys=True) + "\n")
+    created.append(source)
     ws.record("render", "render", created)
     print(f"rendered {len(frames)} frames -> {out_dir}")
     return 0
@@ -370,7 +395,9 @@ def cmd_eval(args) -> int:
             )
             for t in frames
         }
-        label = label or _label(read_sidecar(_pick_checkpoint(ws))[1])
+        ckpt = _pick_checkpoint(ws)
+        _check_render_source(ws, ckpt)
+        label = label or _label(read_sidecar(ckpt)[1])
         report = evaluate(preds, ds, frames, label=label)
     else:
         params, meta = load_checkpoint(_pick_checkpoint(ws))

@@ -376,9 +376,17 @@ class LayerEvalCache:
     dbet: np.ndarray  # (B, 3) softplus' at uncertainty pre-activations
 
 
-def _check_points(pts_world: np.ndarray, pts_cam: np.ndarray) -> None:
+def _lookups(cfg: FieldConfig, pts_world: np.ndarray, pts_cam: np.ndarray):
+    """(world, semi-static, dynamic) lookups of a point batch and its (B, 3) layer support."""
     if not (np.all(np.isfinite(pts_world)) and np.all(np.isfinite(pts_cam))):
         raise NumericalError("non-finite point coordinates passed to eval_layers")
+    world = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.grid_res)
+    ss = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.ss_grid_res)
+    # `ok` implies u in [0, 1]^3, so it is the whole dynamic support.
+    upts, ok = _frustum_points(pts_cam, cfg.frustum)
+    dy = _Lookup.at(upts, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), cfg.dyn_grid_res)
+    support = np.stack([world.inside, world.inside, ok], axis=1).astype(np.float64)
+    return world, ss, dy, support
 
 
 def _activate(pre: np.ndarray, support: np.ndarray, beta_min: float):
@@ -394,38 +402,29 @@ def eval_layers_batch(
     pts_world: np.ndarray,
     pts_cam: np.ndarray,
     t_idx: np.ndarray,
-    want_cache: bool = False,
 ):
     """Evaluate all three layers at a flat batch of points.
 
-    Returns (sigma (B, 3), color (B, 3, 3), beta (B, 3)[, cache]) with the
-    layer axis ordered (static, semi-static, dynamic). Density is zero
-    outside a layer's spatial support.
+    Returns (sigma (B, 3), color (B, 3, 3), beta (B, 3), cache) with the
+    layer axis ordered (static, semi-static, dynamic); `cache` is what
+    :func:`backward_eval_layers` needs. Density is zero outside a layer's
+    spatial support.
     """
-    _check_points(pts_world, pts_cam)
     cfg = params.config
     b = params.blocks
+    world, ss_lookup, dy_lookup, support = _lookups(cfg, pts_world, pts_cam)
     t_idx = np.asarray(t_idx, dtype=np.int64)
     if np.any((t_idx < 0) | (t_idx >= cfg.n_frames)):
         raise DomainError("frame index outside [0, T)")
 
-    world = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.grid_res)
     phi0 = world.read(b["phi0"])
     pre_st = world.read(b["st_grid"]) + phi0 @ b["st_head"].T
-    ss_lookup = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.ss_grid_res)
     pre_ss, ss = _mixed_layer(params, "ss", ss_lookup, t_idx)
     pre_ss = pre_ss + phi0 @ b["ss_head"].T
-    # `ok` implies u in [0, 1]^3, so it is the whole dynamic support.
-    upts, ok = _frustum_points(pts_cam, cfg.frustum)
-    dy_lookup = _Lookup.at(upts, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), cfg.dyn_grid_res)
     pre_dy, dy = _mixed_layer(params, "dy", dy_lookup, t_idx)
 
     pre = np.stack([pre_st, pre_ss, pre_dy], axis=1)  # (B, 3 layers, 5 channels)
-    support = np.stack([world.inside, world.inside, ok], axis=1).astype(np.float64)
     sigma, color, beta = _activate(pre, support, cfg.beta_min)
-
-    if not want_cache:
-        return sigma, color, beta
     cache = LayerEvalCache(
         n_points=pts_world.shape[0],
         t_idx=t_idx,
@@ -476,16 +475,14 @@ class FrameField:
 
     def eval(self, pts_world: np.ndarray, pts_cam: np.ndarray):
         """(sigma (B, 3), color (B, 3, 3), beta (B, 3)) as :func:`eval_layers_batch`."""
-        _check_points(pts_world, pts_cam)
-        cfg = self.config
-        world = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.grid_res)
+        world, ss, dy, support = _lookups(self.config, pts_world, pts_cam)
+        pre_ss = ss.read(self.ss)
+        pre_dy = dy.read(self.dy)
+        # Free the small lookups before the largest gather to cut peak memory.
+        del ss, dy
         pre_w = world.read(self.world)
-        pre_ss = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.ss_grid_res).read(self.ss)
-        upts, ok = _frustum_points(pts_cam, cfg.frustum)
-        pre_dy = _Lookup.at(upts, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), cfg.dyn_grid_res).read(self.dy)
         pre = np.stack([pre_w[:, :5], pre_ss + pre_w[:, 5:], pre_dy], axis=1)
-        support = np.stack([world.inside, world.inside, ok], axis=1).astype(np.float64)
-        return _activate(pre, support, cfg.beta_min)
+        return _activate(pre, support, self.config.beta_min)
 
 
 def backward_eval_layers(

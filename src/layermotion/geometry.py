@@ -135,21 +135,9 @@ def slab_interval(origins, march, lo, hi):
     return t_lo.max(axis=-1), t_hi.min(axis=-1)
 
 
-def ray_through_pixel(
-    pose: CameraPose,
-    pixel: tuple[float, float],
-    image_size: tuple[int, int] | None = None,
-) -> Ray:
-    """Back-project pixel (u_x, u_y) to a world-space ray through the camera center.
-
-    `image_size` is (width, height); when given, the pixel must satisfy
-    -0.5 <= u < size - 0.5 on both axes.
-    """
+def ray_through_pixel(pose: CameraPose, pixel: tuple[float, float]) -> Ray:
+    """Back-project pixel (u_x, u_y) to a world-space ray through the camera center."""
     ux, uy = float(pixel[0]), float(pixel[1])
-    if image_size is not None:
-        w, h = image_size
-        if not (-0.5 <= ux <= w - 0.5) or not (-0.5 <= uy <= h - 0.5):
-            raise DomainError(f"pixel ({ux}, {uy}) outside image bounds {w}x{h}")
     # x(tau) = origin - direction*tau must march along the viewing direction.
     return Ray(origin=pose.center, direction=-pixel_directions(pose, ux, uy), pixel=(ux, uy))
 

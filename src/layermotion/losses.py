@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
 from .fields import BLOCK_NAMES, PARTITION, LayeredFieldParams, backward_eval_layers
-from .renderer import ForwardCache, render_batch
+from .renderer import backward_composite, render_batch
 
 GRAD_CHUNK = 512  # rays per reduction chunk; fixed so workers cannot reorder math
 
@@ -115,44 +115,6 @@ class RayBatch:
         return pts, pts_cam
 
 
-def _integrate_backward(cache: ForwardCache, dout: np.ndarray):
-    """Adjoint of the quadrature + density-share mixing for one chunk.
-
-    `dout` is (N, 6) over channels (rgb x3, uncertainty, mask_ss, mask_dy).
-    Returns per-sample, per-layer gradients (d_sigma, d_color, d_beta).
-    """
-    w, trans, alpha = cache.weights, cache.trans, cache.alpha
-    deltas, t_bg, values = cache.deltas, cache.t_bg, cache.values
-    # dL/d(values at sample) and the projection needed for dL/dsigma.
-    dvalues = w[:, :, None] * dout[:, None, :]
-    proj = np.einsum("nc,nkc->nk", dout, values)
-    wproj = w * proj
-    suffix = np.sum(wproj, axis=1, keepdims=True) - np.cumsum(wproj, axis=1)
-    t_incl = trans * (1.0 - alpha)  # transmittance just past each sample
-    d_bg = dout @ cache.bg  # (N,)
-    d_sigma_tot = deltas * (t_incl * proj - suffix - (t_bg * d_bg)[:, None])
-
-    # Density-share mixing: value channel q_c = sum_l share_l * v_{l,c}.
-    n, k, _ = cache.sigma_layers.shape
-    v = np.empty((n, k, 3, 6))
-    v[..., 0:3] = cache.color_layers
-    v[..., 3] = cache.beta_layers
-    v[..., 4] = 0.0
-    v[..., 5] = 0.0
-    v[..., 1, 4] = 1.0  # semi-static pseudo-color
-    v[..., 2, 5] = 1.0  # dynamic pseudo-color
-    sig_tot = cache.sigma_layers.sum(axis=-1)
-    safe = np.where(cache.live, sig_tot, 1.0)
-    diff = v - values[:, :, None, :]
-    ratio = np.einsum("nkc,nklc->nkl", dvalues, diff) / safe[:, :, None]
-    ratio *= cache.live[:, :, None]
-    d_sigma = d_sigma_tot[:, :, None] + ratio
-    shared = cache.share * cache.live[:, :, None]
-    d_color = dvalues[:, :, None, 0:3] * shared[:, :, :, None]
-    d_beta = dvalues[:, :, None, 3] * shared
-    return d_sigma, d_color, d_beta
-
-
 def _add_into(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> None:
     for name, g in part.items():
         if name in total:
@@ -199,37 +161,34 @@ def total_loss_and_gradients(
     def run(ci: int) -> None:
         sl = slice(chunks[ci], min(chunks[ci] + GRAD_CHUNK, n))
         pts, pts_cam = batch.points(sl)
-        bundle, cache = render_batch(
-            params, pts, pts_cam, batch.deltas[sl], batch.t_idx[sl], want_cache=True
+        bundle, cache, field_cache = render_batch(
+            params, pts, pts_cam, batch.deltas[sl], batch.t_idx[sl]
         )
-        m = pts.shape[0]
-        dout = np.zeros((m, 6))
         sums = np.zeros(3)  # per-term sums of per-ray contributions
+        # Loss gradient per render channel; 0.0 where no enabled term reads it.
+        d_color = d_uncertainty = d_mask_ss = d_mask_dy = 0.0
         if cfg.use_rgb:
             resid = bundle.color - batch.target_rgb[sl]
             err = np.sum(resid**2, axis=-1)
             bsq = bundle.uncertainty**2
             sums[0] = np.sum(err / (2.0 * bsq) + np.log(bsq))
-            dout[:, 0:3] = resid / bsq[:, None] / n
-            dout[:, 3] = (-err / bundle.uncertainty**3 + 2.0 / bundle.uncertainty) / n
+            d_color = resid / bsq[:, None] / n
+            d_uncertainty = (-err / bundle.uncertainty**3 + 2.0 / bundle.uncertainty) / n
         if cfg.use_pmf:
             d = bundle.mask_dy - batch.mask_values[sl]
             sums[1] = cfg.lambda_pmf * np.sum(d**2)
-            dout[:, 5] = 2.0 * cfg.lambda_pmf * d / n
+            d_mask_dy = 2.0 * cfg.lambda_pmf * d / n
         if cfg.use_nmf and n_fused > 0:
             sel = fused[sl]
             sums[2] = cfg.lambda_nmf * np.sum((bundle.mask_ss * sel) ** 2)
-            dout[:, 4] = 2.0 * cfg.lambda_nmf * bundle.mask_ss * sel / n_fused
+            d_mask_ss = 2.0 * cfg.lambda_nmf * bundle.mask_ss * sel / n_fused
         if not wrt:
             results[ci] = (sums, {})
             return
-        d_sigma, d_color, d_beta = _integrate_backward(cache, dout)
         grads = backward_eval_layers(
             params,
-            cache.eval_cache,
-            d_sigma.reshape(-1, 3),
-            d_color.reshape(-1, 3, 3),
-            d_beta.reshape(-1, 3),
+            field_cache,
+            *backward_composite(cache, d_color, d_uncertainty, d_mask_ss, d_mask_dy),
             wrt=wrt,
         )
         results[ci] = (sums, grads)

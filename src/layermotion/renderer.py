@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RenderError
-from .fields import FrameField, LayerEvalCache, LayeredFieldParams, eval_layers_batch
+from .fields import FrameField, LayeredFieldParams, eval_layers_batch
 from .geometry import CameraPose, Ray, camera_rays, clip_ray_to_box, world_to_camera
 
 EPS_SIGMA = 1e-12
@@ -34,23 +34,6 @@ RENDER_SAMPLES = 64  # default quadrature nodes per rendered ray
 # item's gathered grid corners (under 8 MB for a 15-channel grid) the same
 # size at any sample count; 1,024-pixel items at 64 samples ran memory-bound.
 RENDER_POINTS = 8192
-
-
-@dataclass(frozen=True)
-class RaySamples:
-    """Quadrature nodes for one ray."""
-
-    depths: np.ndarray  # (K,), strictly increasing within [t_near, t_far]
-    deltas: np.ndarray  # (K,), last entry = DELTA_CAP
-    points_world: np.ndarray  # (K, 3)
-    points_cam: np.ndarray | None = None  # (K, 3) when a pose was supplied
-
-    def __post_init__(self):
-        d = np.asarray(self.depths, dtype=np.float64)
-        if d.size < 2:
-            raise DomainError("need at least two samples per ray")
-        if np.any(np.diff(d) <= 0):
-            raise DomainError("sample depths must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -89,25 +72,15 @@ def sample_depths(t_near, t_far, n_samples: int, stratified: bool = False, seed:
     return depths, deltas
 
 
-def sample_ray(ray: Ray, n_samples: int, pose: CameraPose | None = None) -> RaySamples:
-    """Midpoint quadrature nodes for a single ray; pass `pose` to get camera points."""
-    if not np.isfinite(ray.t_far):
-        raise DomainError("sample_ray requires a finite t_far (clip the ray first)")
-    depths, deltas = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), n_samples)
-    pts = ray.point_at(depths[0])
-    pts_cam = None if pose is None else world_to_camera(pose, pts)
-    return RaySamples(
-        depths=depths[0], deltas=deltas[0], points_world=pts, points_cam=pts_cam
-    )
-
-
-def composite_point(sigma, color, beta=None):
+def composite_point(sigma, color, beta):
     """Mix per-layer values at point(s): densities add, the rest mix by share.
 
-    `sigma` is (..., 3) over (static, semi-static, dynamic); `color` is
-    (..., 3, 3); optional `beta` is (..., 3). Returns a dict with `sigma`,
-    `color`, `m_st`, `m_ss`, `m_dy` (and `beta` when given). Points with
-    total density below EPS_SIGMA get zero color and shares.
+    `sigma` and `beta` are (..., 3) over (static, semi-static, dynamic);
+    `color` is (..., 3, 3). Returns (total (...), share (..., 3), values
+    (..., 7)): the total density, each layer's density share and the mixed
+    value channels (color 3, beta, then the semi-static, dynamic and static
+    shares, which are the mixed layer-indicator pseudo-colors). Points with
+    total density below EPS_SIGMA get zero shares, so zero values.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     color = np.asarray(color, dtype=np.float64)
@@ -116,26 +89,20 @@ def composite_point(sigma, color, beta=None):
     denom = np.where(live, total, 1.0)
     share = sigma / denom[..., None] * live[..., None]
     mixed_color = np.einsum("...l,...lc->...c", share, color)
-    out = {
-        "sigma": total,
-        "color": mixed_color,
-        "m_st": share[..., 0],
-        "m_ss": share[..., 1],
-        "m_dy": share[..., 2],
-    }
-    if beta is not None:
-        out["beta"] = np.einsum("...l,...l->...", share, np.asarray(beta, dtype=np.float64))
-    return out
+    mixed_beta = np.einsum("...l,...l->...", share, np.asarray(beta, dtype=np.float64))
+    values = np.concatenate(
+        [mixed_color, mixed_beta[..., None], share[..., 1:3], share[..., :1]], axis=-1
+    )
+    return total, share, values
 
 
 @dataclass
 class ForwardCache:
-    """Everything the loss backward pass needs from one rendered batch."""
+    """Everything :func:`backward_composite` needs from one composited batch."""
 
-    sigma_layers: np.ndarray  # (N, K, 3)
-    values: np.ndarray  # (N, K, 6): mixed color 3, mixed beta, m_ss, m_dy
+    total: np.ndarray  # (N, K) total density
     share: np.ndarray  # (N, K, 3)
-    live: np.ndarray  # (N, K) bool
+    values: np.ndarray  # (N, K, 6): mixed color 3, mixed beta, m_ss, m_dy
     color_layers: np.ndarray  # (N, K, 3, 3)
     beta_layers: np.ndarray  # (N, K, 3)
     alpha: np.ndarray  # (N, K)
@@ -143,8 +110,7 @@ class ForwardCache:
     weights: np.ndarray  # (N, K)
     t_bg: np.ndarray  # (N,)
     deltas: np.ndarray  # (N, K)
-    bg: np.ndarray  # (6,)
-    eval_cache: LayerEvalCache
+    beta_min: float  # background uncertainty, weighted by t_bg
 
 
 def _integrate(sigma, deltas, values, bg):
@@ -160,48 +126,62 @@ def _integrate(sigma, deltas, values, bg):
     return out, alpha, trans, weights, t_bg
 
 
-def render_batch(
-    params: LayeredFieldParams,
-    pts_world: np.ndarray,  # (N, K, 3)
-    pts_cam: np.ndarray,  # (N, K, 3)
-    deltas: np.ndarray,  # (N, K)
-    t_idx: np.ndarray,  # (N,)
-    want_cache: bool = False,
-):
-    """Forward render of a batch of rays; the workhorse for single rays and losses."""
-    k = pts_world.shape[1]
-    flat_t = np.repeat(np.asarray(t_idx, dtype=np.int64), k)
-    ev = eval_layers_batch(
-        params,
-        pts_world.reshape(-1, 3),
-        pts_cam.reshape(-1, 3),
-        flat_t,
-        want_cache=want_cache,
-    )
-    return _composite_rays(ev, deltas, params.config.beta_min, want_cache)
+def backward_composite(cache: ForwardCache, d_color, d_uncertainty, d_mask_ss, d_mask_dy):
+    """Adjoint of :func:`composite_rays`: the quadrature and the density-share mixing.
+
+    Takes the loss gradient of each render channel, (N, 3) for `d_color`
+    and (N,) for the others; a scalar (0.0 for a channel no loss reads)
+    broadcasts. Returns the gradients with respect to composite_rays'
+    `sigma` (N*K, 3), `color` (N*K, 3, 3) and `beta` (N*K, 3).
+    """
+    w, trans, alpha = cache.weights, cache.trans, cache.alpha
+    deltas, t_bg, values = cache.deltas, cache.t_bg, cache.values
+    n, k = cache.total.shape
+    dout = np.empty((n, 6))  # over the channels of `values`
+    dout[:, 0:3] = d_color
+    dout[:, 3] = d_uncertainty
+    dout[:, 4] = d_mask_ss
+    dout[:, 5] = d_mask_dy
+    # dL/d(values at sample) and the projection needed for dL/dsigma.
+    dvalues = w[:, :, None] * dout[:, None, :]
+    proj = np.einsum("nc,nkc->nk", dout, values)
+    wproj = w * proj
+    suffix = np.sum(wproj, axis=1, keepdims=True) - np.cumsum(wproj, axis=1)
+    t_incl = trans * (1.0 - alpha)  # transmittance just past each sample
+    d_bg = cache.beta_min * dout[:, 3]  # the background is beta_min in uncertainty only
+    d_sigma_tot = deltas * (t_incl * proj - suffix - (t_bg * d_bg)[:, None])
+
+    # Density-share mixing: value channel q_c = sum_l share_l * v_{l,c}.
+    v = np.zeros((n, k, 3, 6))
+    v[..., 0:3] = cache.color_layers
+    v[..., 3] = cache.beta_layers
+    v[..., 1, 4] = 1.0  # semi-static pseudo-color
+    v[..., 2, 5] = 1.0  # dynamic pseudo-color
+    live = cache.total > EPS_SIGMA
+    safe = np.where(live, cache.total, 1.0)
+    diff = v - values[:, :, None, :]
+    ratio = np.einsum("nkc,nklc->nkl", dvalues, diff) / safe[:, :, None]
+    ratio *= live[:, :, None]
+    d_sigma = d_sigma_tot[:, :, None] + ratio
+    # `share` is already zero where the sample is not live.
+    d_color = dvalues[:, :, None, 0:3] * cache.share[:, :, :, None]
+    d_beta = dvalues[:, :, None, 3] * cache.share
+    return d_sigma.reshape(-1, 3), d_color.reshape(-1, 3, 3), d_beta.reshape(-1, 3)
 
 
-def _composite_rays(ev, deltas: np.ndarray, beta_min: float, want_cache: bool):
-    """Render rays from per-layer point values `ev` = (sigma, color, beta[, eval cache]).
+def composite_rays(sigma, color, beta, deltas: np.ndarray, beta_min: float):
+    """Render rays from per-layer point values; returns (RenderBundle, ForwardCache).
 
-    The points are the rays' samples in ray-major order; `deltas` is (N, K).
+    `sigma` (N*K, 3), `color` (N*K, 3, 3) and `beta` (N*K, 3) are the values
+    at the rays' samples in ray-major order; `deltas` is (N, K). A
+    non-finite output raises `RenderError`.
     """
     n, k = deltas.shape
-    sigma_l, color_l, beta_l = ev[0], ev[1], ev[2]
-    comp = composite_point(sigma_l, color_l, beta_l)
-    values = np.concatenate(
-        [
-            comp["color"],
-            comp["beta"][:, None],
-            comp["m_ss"][:, None],
-            comp["m_dy"][:, None],
-            comp["m_st"][:, None],
-        ],
-        axis=1,
-    ).reshape(n, k, 7)
-    sigma = comp["sigma"].reshape(n, k)
+    total, share, values = composite_point(sigma, color, beta)
+    values = values.reshape(n, k, 7)
+    total = total.reshape(n, k)
     bg = np.array([0, 0, 0, beta_min, 0, 0, 0], dtype=np.float64)
-    out, alpha, trans, weights, t_bg = _integrate(sigma, deltas, values, bg)
+    out, alpha, trans, weights, t_bg = _integrate(total, deltas, values, bg)
     bundle = RenderBundle(
         color=out[:, 0:3],
         uncertainty=out[:, 3],
@@ -215,27 +195,41 @@ def _composite_rays(ev, deltas: np.ndarray, beta_min: float, want_cache: bool):
         ray_i = int(bad[0, 0])
         samp = int(np.argmax(~np.isfinite(values[ray_i]).all(axis=-1)))
         raise RenderError(f"non-finite render output at ray {ray_i}, sample {samp}")
-    if not want_cache:
-        return bundle
-    live = (sigma > EPS_SIGMA)
     cache = ForwardCache(
-        sigma_layers=sigma_l.reshape(n, k, 3),
+        total=total,
+        share=share.reshape(n, k, 3),
         values=values[..., :6],
-        share=np.stack(
-            [comp["m_st"], comp["m_ss"], comp["m_dy"]], axis=-1
-        ).reshape(n, k, 3),
-        live=live,
-        color_layers=color_l.reshape(n, k, 3, 3),
-        beta_layers=beta_l.reshape(n, k, 3),
+        color_layers=color.reshape(n, k, 3, 3),
+        beta_layers=beta.reshape(n, k, 3),
         alpha=alpha,
         trans=trans,
         weights=weights,
         t_bg=t_bg,
         deltas=deltas,
-        bg=bg[:6],
-        eval_cache=ev[3],
+        beta_min=beta_min,
     )
     return bundle, cache
+
+
+def render_batch(
+    params: LayeredFieldParams,
+    pts_world: np.ndarray,  # (N, K, 3)
+    pts_cam: np.ndarray,  # (N, K, 3)
+    deltas: np.ndarray,  # (N, K)
+    t_idx: np.ndarray,  # (N,)
+):
+    """Forward render of a batch of rays through :func:`eval_layers_batch`.
+
+    Returns (RenderBundle, ForwardCache, LayerEvalCache): the caches feed
+    :func:`backward_composite` and `fields.backward_eval_layers`.
+    """
+    k = pts_world.shape[1]
+    flat_t = np.repeat(np.asarray(t_idx, dtype=np.int64), k)
+    sigma, color, beta, field_cache = eval_layers_batch(
+        params, pts_world.reshape(-1, 3), pts_cam.reshape(-1, 3), flat_t
+    )
+    bundle, cache = composite_rays(sigma, color, beta, deltas, params.config.beta_min)
+    return bundle, cache, field_cache
 
 
 def render_ray(
@@ -245,18 +239,17 @@ def render_ray(
     t: int | None = None,
     n_samples: int = RENDER_SAMPLES,
 ) -> RenderBundle:
-    """Render one ray at frame t (defaults to the pose's frame index)."""
+    """Render one ray at frame t (defaults to the pose's frame index).
+
+    A ray with an infinite t_far is clipped to the world box first.
+    """
     t = pose.frame_index if t is None else int(t)
-    clipped = ray
     if not np.isfinite(ray.t_far):
-        clipped = clip_ray_to_box(ray, params.config.world_lo, params.config.world_hi)
-    samples = sample_ray(clipped, n_samples, pose=pose)
-    bundle = render_batch(
-        params,
-        samples.points_world[None],
-        samples.points_cam[None],
-        samples.deltas[None],
-        np.array([t]),
+        ray = clip_ray_to_box(ray, params.config.world_lo, params.config.world_hi)
+    depths, deltas = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), n_samples)
+    pts = ray.point_at(depths[0])
+    bundle, _, _ = render_batch(
+        params, pts[None], world_to_camera(pose, pts)[None], deltas, np.array([t])
     )
     return RenderBundle(**{k: getattr(bundle, k)[0] for k in RenderBundle.__dataclass_fields__})
 
@@ -303,8 +296,8 @@ def render_frame(
         depths, deltas = sample_depths(t_near[sl], t_far[sl], n_samples)
         pts = origin[None, None, :] - nu[sl][:, None, :] * depths[:, :, None]
         pts_cam = world_to_camera(pose, pts)
-        ev = field.eval(pts.reshape(-1, 3), pts_cam.reshape(-1, 3))
-        bundle = _composite_rays(ev, deltas, params.config.beta_min, False)
+        sigma, color, beta = field.eval(pts.reshape(-1, 3), pts_cam.reshape(-1, 3))
+        bundle, _ = composite_rays(sigma, color, beta, deltas, params.config.beta_min)
         for name in channels:
             out[name][sl] = getattr(bundle, name)
 

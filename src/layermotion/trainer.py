@@ -43,15 +43,12 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True, kw_only=True)
 class OptimConfig:
-    """Settings shared by training and refinement; the loss defaults are LossConfig's."""
+    """Settings shared by training and refinement."""
 
     learning_rate: float
     rays_per_step: int = 2048
     n_samples: int = 24
-    losses: tuple[str, ...] = ("rgb", "pmf", "nmf")
-    lambda_pmf: float = LossConfig.lambda_pmf
-    lambda_nmf: float = LossConfig.lambda_nmf
-    threshold: float = LossConfig.threshold
+    loss: LossConfig = LossConfig()
     seed: int = 0
     workers: int = 1
 
@@ -62,15 +59,6 @@ class OptimConfig:
             raise ConfigError("rays_per_step must be positive")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be at least 2")
-        self.loss_config()  # checks the loss names, weights and threshold
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig.from_names(
-            self.losses,
-            lambda_pmf=self.lambda_pmf,
-            lambda_nmf=self.lambda_nmf,
-            threshold=self.threshold,
-        )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -192,8 +180,7 @@ def train(params: LayeredFieldParams, dataset, cfg: TrainConfig):
     Log rows are dicts matching the training-log CSV columns. With
     epochs == 0 the parameters are returned unchanged.
     """
-    loss_cfg = cfg.loss_config()
-    if (loss_cfg.use_pmf or loss_cfg.use_nmf) and dataset.pseudo is None:
+    if (cfg.loss.use_pmf or cfg.loss.use_nmf) and dataset.pseudo is None:
         raise ConfigError("motion fusion enabled but the dataset has no pseudo-masks")
     params = params.copy()
     log: list[dict] = []
@@ -213,7 +200,7 @@ def train(params: LayeredFieldParams, dataset, cfg: TrainConfig):
                 ids, cfg.n_samples, stratified=True, seed=[cfg.seed, 13, epoch, step]
             )
             report, grads = total_loss_and_gradients(
-                params, batch, loss_cfg, workers=cfg.workers
+                params, batch, cfg.loss, workers=cfg.workers
             )
             opt.step(params.blocks, grads, cosine_lr(k, total_steps))
             log.append(_log_row(epoch, k, report))
@@ -244,8 +231,7 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
     bit-identical to the input; the `grad_norm_st` log column reads 0.0.
     Guard probes evaluate the loss without any backward pass.
     """
-    loss_cfg = cfg.loss_config()
-    if (loss_cfg.use_pmf or loss_cfg.use_nmf) and dataset.pseudo is None:
+    if (cfg.loss.use_pmf or cfg.loss.use_nmf) and dataset.pseudo is None:
         raise ConfigError("motion fusion enabled but the dataset has no pseudo-masks")
     frames = refinement_set(cfg.frames, cfg.neighbors, dataset.n_frames)
     params = params.copy()
@@ -262,7 +248,7 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
 
     def probe_loss() -> float:
         report, _ = total_loss_and_gradients(
-            params, probe_batch, loss_cfg, cfg.workers, wrt=()
+            params, probe_batch, cfg.loss, cfg.workers, wrt=()
         )
         return report.l_total
 
@@ -285,7 +271,7 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
                 ids, cfg.n_samples, stratified=True, seed=[cfg.seed, 29, step]
             )
             report, grads = total_loss_and_gradients(
-                params, batch, loss_cfg, cfg.workers, wrt=trainable
+                params, batch, cfg.loss, cfg.workers, wrt=trainable
             )
             opt.step(params.blocks, grads, lr_scale)
             log.append(_log_row(-1, step, report))

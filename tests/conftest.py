@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from layermotion import evalkit, renderer, scenegen
 from layermotion.dataset import dataset_from_scene
 from layermotion.fields import init_params
+from layermotion.losses import LossConfig
 from layermotion.trainer import RefineConfig, TrainConfig, refine, train
 
 BENCH_SEED = 0
@@ -104,7 +105,7 @@ def bench_runs(bench_dataset):
     }
     for name, losses in variants.items():
         t1 = time.time()
-        params, log = train(base, ds, TrainConfig(losses=losses, **BENCH_TRAIN))
+        params, log = train(base, ds, TrainConfig(loss=LossConfig.from_names(losses), **BENCH_TRAIN))
         out["timings"][f"train_{name}"] = time.time() - t1
         out["params"][name] = params
         out[f"log_{name}"] = log

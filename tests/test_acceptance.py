@@ -96,7 +96,7 @@ def test_criterion_2_renderer_oracle():
     pts_cam = np.concatenate([xy, -d[..., None]], axis=-1)
     deltas = rng.uniform(0.05, 1.2, (n, 3))
     t_idx = rng.integers(0, cfg.n_frames, n)
-    bundle, cache = render_batch(params, pts, pts_cam, deltas, t_idx, want_cache=True)
+    bundle, cache, _ = render_batch(params, pts, pts_cam, deltas, t_idx)
     worst = 0.0
     for i in range(n):
         ref = naive_render_ray(params, pts[i], pts_cam[i], deltas[i], int(t_idx[i]))
@@ -147,7 +147,7 @@ def test_criterion_4_freeze_contract(bench_dataset, bench_runs):
     # a second sweep row: color-only test-time refinement
     tr_only, _, _ = refine(
         base, bench_dataset,
-        RefineConfig(frames=bench_dataset.eval_frames, losses=("rgb",),
+        RefineConfig(frames=bench_dataset.eval_frames, loss=LossConfig.from_names(("rgb",)),
                      **{**BENCH_REFINE, "steps": 60}),
     )
     ok = refined_digest == digest and partition_digest(tr_only, "st") == digest

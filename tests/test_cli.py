@@ -247,6 +247,51 @@ class TestBadSidecar:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+class TestRenderSource:
+    def test_render_records_its_checkpoint(self, mini_ws):
+        ckpt = mini_ws / "checkpoints" / "model_refined.lmf"
+        source = mini_ws / "renders" / "source.json"
+        assert json.loads(source.read_text()) == {
+            "checkpoint": "checkpoints/model_refined.lmf", "sha256": sha256_file(ckpt)
+        }
+        rows = [line.split(",") for line in (mini_ws / "manifest.csv").read_text().splitlines()]
+        assert ["render", "render", "renders/source.json", sha256_file(source)] in rows
+
+    def test_eval_rejects_renders_of_another_checkpoint(self, tmp_path, capsys):
+        # Rendered before refine: the dumps come from model.lmf, but eval
+        # picks model_refined.lmf and would label them +TR.
+        ws = tmp_path / "ws"
+        base = ["--workspace", ws, "--seed", 1] + TINY
+        for sub in ("generate", "train", "render", "refine"):
+            assert run([sub] + base) == 0
+        capsys.readouterr()
+        assert run(["eval"] + base) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and "checkpoints/model_refined.lmf" in err
+        assert not (ws / "reports" / "eval.csv").exists()
+
+    @pytest.mark.parametrize("source", [
+        None,
+        b'{"checkpoint": ',
+        b"\xff\xfe",
+        b"[]",
+        b'{"checkpoint": "checkpoints/model_refined.lmf", "sha256": "00"}',
+        b'{"checkpoint": "checkpoints/model.lmf", "sha256": "00"}',
+    ])
+    def test_eval_needs_a_matching_source(self, mini_ws, tmp_path, capsys, source):
+        ws = tmp_path / "ws"
+        shutil.copytree(mini_ws, ws)
+        path = ws / "renders" / "source.json"
+        if source is None:
+            path.unlink()
+        else:
+            path.write_bytes(source)
+        capsys.readouterr()
+        assert run(["eval", "--workspace", ws] + TINY) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and "source.json" in err
+
+
 def test_numerical_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     import layermotion.cli as cli_mod
     from layermotion.errors import NumericalError

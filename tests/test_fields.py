@@ -75,7 +75,7 @@ def sample_points(cfg, n, seed=0):
 
 def eval_one(params, x, x_cam, t):
     """Per-layer (sigma, color, beta) at one world point and one camera point."""
-    sigma, color, beta = eval_layers_batch(
+    sigma, color, beta, _ = eval_layers_batch(
         params, np.array([x], dtype=float), np.array([x_cam], dtype=float), np.array([t])
     )
     return sigma[0], color[0], beta[0]
@@ -165,7 +165,7 @@ class TestEvalLayers:
         cfg = small_config()
         params = randomized_params(cfg, seed=4)
         pts, pts_cam, t_idx = sample_points(cfg, 40, seed=5)
-        sigma, color, beta = eval_layers_batch(params, pts, pts_cam, t_idx)
+        sigma, color, beta, _ = eval_layers_batch(params, pts, pts_cam, t_idx)
         for i in range(40):
             ref = naive_eval_point(params, pts[i], pts_cam[i], int(t_idx[i]))
             for l in range(3):
@@ -181,7 +181,7 @@ class TestEvalLayers:
             eval_layers_batch(params, pts, pts_cam, np.full(10, t))
             for t in range(cfg.n_frames)
         ]
-        for sigma, color, beta in outs[1:]:
+        for sigma, color, beta, _ in outs[1:]:
             np.testing.assert_array_equal(sigma[:, 0], outs[0][0][:, 0])
             np.testing.assert_array_equal(color[:, 0], outs[0][1][:, 0])
             np.testing.assert_array_equal(beta[:, 0], outs[0][2][:, 0])
@@ -209,7 +209,7 @@ class TestEvalLayers:
         cfg = small_config()
         params = randomized_params(cfg, seed=9, scale=2.0)
         pts, pts_cam, t_idx = sample_points(cfg, 64, seed=10)
-        sigma, color, beta = eval_layers_batch(params, pts, pts_cam, t_idx)
+        sigma, color, beta, _ = eval_layers_batch(params, pts, pts_cam, t_idx)
         assert np.all(sigma >= 0) and np.all(np.isfinite(sigma))
         assert np.all(beta >= cfg.beta_min) and np.all(np.isfinite(beta))
         assert np.all((color >= 0) & (color <= 1))
@@ -307,7 +307,7 @@ class TestBackwardSubset:
     def cached_eval(cfg, seed):
         params = randomized_params(cfg, seed=seed)
         pts, pts_cam, t_idx = sample_points(cfg, 80, seed=seed + 1)
-        *_, cache = eval_layers_batch(params, pts, pts_cam, t_idx, want_cache=True)
+        *_, cache = eval_layers_batch(params, pts, pts_cam, t_idx)
         rng = np.random.default_rng(seed + 2)
         upstream = (
             rng.standard_normal((80, 3)),
@@ -354,11 +354,11 @@ class TestParameterPartition:
         cfg = small_config()
         params = randomized_params(cfg, seed=11)
         pts, pts_cam, t_idx = sample_points(cfg, 30, seed=12)
-        before = eval_layers_batch(params, pts, pts_cam, t_idx)
+        before = eval_layers_batch(params, pts, pts_cam, t_idx)[:3]
         rng = np.random.default_rng(13)
         for name in PARTITION["dy"]:
             params.blocks[name] += rng.standard_normal(params.blocks[name].shape)
-        after = eval_layers_batch(params, pts, pts_cam, t_idx)
+        after = eval_layers_batch(params, pts, pts_cam, t_idx)[:3]
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a[:, 0], b[:, 0])  # static untouched
             np.testing.assert_array_equal(a[:, 1], b[:, 1])  # semi-static untouched

@@ -70,7 +70,7 @@ class TestRayThroughPixel:
         for _ in range(50):
             pose = random_pose(rng)
             pixel = (17.0, 5.0)
-            ray = ray_through_pixel(pose, pixel, image_size=(32, 32))
+            ray = ray_through_pixel(pose, pixel)
             x = ray.point_at(3.7)
             xc = pose.rotation @ x + pose.translation
             depth = -xc[2]
@@ -85,18 +85,12 @@ class TestRayThroughPixel:
         pose = random_pose(rng)
         for _ in range(20):
             pixel = tuple(rng.uniform(0, 31, 2))
-            ray = ray_through_pixel(pose, pixel, image_size=(32, 32))
+            ray = ray_through_pixel(pose, pixel)
             for tau in rng.uniform(0.2, 10.0, 5):
                 xc = pose.rotation @ ray.point_at(tau) + pose.translation
                 u = pose.fx * xc[0] / -xc[2] + pose.cx
                 v = pose.fy * xc[1] / -xc[2] + pose.cy
                 assert abs(u - pixel[0]) < 1e-6 and abs(v - pixel[1]) < 1e-6
-
-    def test_out_of_bounds_pixel(self):
-        with pytest.raises(DomainError):
-            ray_through_pixel(identity_pose(), (40.0, 0.0), image_size=(32, 32))
-        with pytest.raises(DomainError):
-            ray_through_pixel(identity_pose(), (0.0, -3.0), image_size=(32, 32))
 
 
 class TestWorldToCamera:

@@ -1,10 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from layermotion.errors import ConfigError, DomainError
 from layermotion.fields import BLOCK_NAMES, PARTITION
 from layermotion.geometry import look_at
-from layermotion.losses import LossConfig, RayBatch, total_loss_and_gradients
+from layermotion.losses import GRAD_CHUNK, LossConfig, RayBatch, total_loss_and_gradients
 from layermotion.renderer import render_batch, sample_depths
 
 from naive_ref import nmf_loss, pmf_loss, rgb_loss
@@ -175,7 +178,7 @@ class TestTotalLossAndGradients:
         batch = make_batch(cfg, n_rays=40, seed=26)
         report, _ = total_loss_and_gradients(params, batch, LossConfig(), wrt=())
         pts, pts_cam = batch.points(slice(None))
-        out = render_batch(params, pts, pts_cam, batch.deltas, batch.t_idx)
+        out, _, _ = render_batch(params, pts, pts_cam, batch.deltas, batch.t_idx)
         fused = batch.mask_values >= LossConfig().threshold
         assert report.l_rgb == pytest.approx(
             rgb_loss(out.color, batch.target_rgb, out.uncertainty), abs=1e-12)
@@ -290,3 +293,35 @@ class TestGradientSubset:
         assert r_part.grad_norms["ss"] == r_full.grad_norms["ss"]
         assert r_part.grad_norms["dy"] == r_full.grad_norms["dy"]
         assert set(g_full) == set(BLOCK_NAMES)
+
+
+def test_tracer_spans_the_render_stack():
+    # perfbench/tracer.py records spans by rebinding `render_batch`,
+    # `backward_eval_layers` and `ThreadPoolExecutor` in `losses` and
+    # `eval_layers_batch` in `renderer`; a renamed global would silently
+    # drop its spans from `perfbench/run.py --trace 1`.
+    import layermotion
+    import layermotion.cli  # noqa: F401  (the tracer wraps cli names too)
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    cfg = small_config()
+    params = randomized_params(cfg, seed=50)
+    n_rays, n_samples = GRAD_CHUNK + 8, 3  # two chunks, so the pool runs
+    batch = make_batch(cfg, n_rays=n_rays, n_samples=n_samples, seed=51)
+    spans = tracer.Tracer()
+    with tracer.Instrumentation(spans, layermotion):
+        total_loss_and_gradients(params, batch, workers=2)
+    by_name = {}
+    for span in spans.spans:
+        by_name.setdefault(span.name, []).append(span)
+    for name in ("renderer.render_batch", "fields.eval_layers_batch",
+                 "fields.backward_eval_layers", "losses.chunk"):
+        assert len(by_name.get(name, ())) == 2, name
+    assert sum(s.attrs["samples"] for s in by_name["renderer.render_batch"]) == n_rays * n_samples
+    for name in ("fields.eval_layers_batch", "fields.backward_eval_layers"):
+        assert sum(s.attrs["points"] for s in by_name[name]) == n_rays * n_samples
+    assert layermotion.losses.render_batch is layermotion.renderer.render_batch  # restored

@@ -5,17 +5,17 @@ from layermotion import renderer
 from layermotion.bake import bake_scene
 from layermotion.errors import DomainError
 from layermotion.fields import softplus_inv, zero_params
-from layermotion.geometry import look_at, ray_through_pixel
+from layermotion.geometry import look_at, ray_through_pixel, world_to_camera
 from layermotion.renderer import (
     DELTA_CAP,
     RENDER_POINTS,
-    RaySamples,
+    backward_composite,
     composite_point,
+    composite_rays,
     render_batch,
     render_frame,
     render_ray,
     sample_depths,
-    sample_ray,
 )
 from naive_ref import naive_render_ray
 from test_fields import randomized_params, sample_points, small_config, small_frustum
@@ -51,55 +51,135 @@ class TestSampling:
         ray = ray_through_pixel(pose, (3.5, 3.5))
         ray = type(ray)(origin=ray.origin, direction=ray.direction, t_near=0.1,
                         t_far=1.0, pixel=ray.pixel)
-        samples = sample_ray(ray, 6, pose=pose)
-        assert samples.points_cam is not None
+        # the single-ray sampling of render_ray
+        depths, _ = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), 6)
+        points_cam = world_to_camera(pose, ray.point_at(depths[0]))
         # camera-frame samples of a center ray lie near the optical axis
-        assert np.abs(samples.points_cam[:, :2]).max() < 0.15
-        assert (samples.points_cam[:, 2] < 0).all()
+        assert np.abs(points_cam[:, :2]).max() < 0.15
+        assert (points_cam[:, 2] < 0).all()
 
     def test_invalid_sample_counts(self):
         with pytest.raises(DomainError):
             sample_depths(np.zeros(1), np.ones(1), 1)
-        with pytest.raises(DomainError):
-            RaySamples(depths=np.array([0.5, 0.4]), deltas=np.array([0.1, 0.1]),
-                       points_world=np.zeros((2, 3)))
 
 
 class TestCompositePoint:
+    # values channels: color 0:3, beta 3, then the semi-static (4), dynamic
+    # (5) and static (6) shares.
     def test_single_layer_occupancy(self):
         sigma = np.array([0.0, 2.5, 0.0])
         color = np.array([[0.1, 0.1, 0.1], [0.9, 0.5, 0.2], [0.7, 0.7, 0.7]])
-        out = composite_point(sigma, color)
-        assert out["m_ss"] == pytest.approx(1.0)
-        assert out["m_dy"] == pytest.approx(0.0)
-        np.testing.assert_allclose(out["color"], color[1])
+        total, share, values = composite_point(sigma, color, np.ones(3))
+        assert values[4] == pytest.approx(1.0)
+        assert values[5] == pytest.approx(0.0)
+        np.testing.assert_allclose(values[0:3], color[1])
+        np.testing.assert_array_equal(share[[1, 2, 0]], values[4:7])
 
     def test_equal_mixture(self):
         sigma = np.ones(3)
         color = np.eye(3)
-        out = composite_point(sigma, color)
-        np.testing.assert_allclose(out["color"], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-        assert out["m_ss"] == pytest.approx(1 / 3)
-        assert out["m_dy"] == pytest.approx(1 / 3)
+        total, share, values = composite_point(sigma, color, np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(values[0:3], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        assert values[3] == pytest.approx(2.0)
+        assert values[4] == pytest.approx(1 / 3)
+        assert values[5] == pytest.approx(1 / 3)
 
     def test_shares_sum_to_one_vs_naive(self):
         rng = np.random.default_rng(4)
         sigma = rng.uniform(0.01, 5.0, (100, 3))
         color = rng.random((100, 3, 3))
-        out = composite_point(sigma, color)
-        total = out["m_st"] + out["m_ss"] + out["m_dy"]
-        np.testing.assert_allclose(total, 1.0, atol=1e-12)
+        total, share, values = composite_point(sigma, color, rng.random((100, 3)))
+        assert values.shape == (100, 7)
+        np.testing.assert_allclose(share.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(values[:, 4], share[:, 1])
+        np.testing.assert_array_equal(values[:, 5], share[:, 2])
+        np.testing.assert_array_equal(values[:, 6], share[:, 0])
         for i in range(0, 100, 17):
             s = sigma[i].sum()
-            assert abs(out["m_st"][i] - sigma[i, 0] / s) < 1e-12
-            assert abs(out["m_ss"][i] - sigma[i, 1] / s) < 1e-12
-            assert abs(out["m_dy"][i] - sigma[i, 2] / s) < 1e-12
+            assert total[i] == pytest.approx(s, abs=1e-12)
+            assert abs(share[i, 0] - sigma[i, 0] / s) < 1e-12
+            assert abs(share[i, 1] - sigma[i, 1] / s) < 1e-12
+            assert abs(share[i, 2] - sigma[i, 2] / s) < 1e-12
 
     def test_empty_space_convention(self):
-        out = composite_point(np.zeros(3), np.full((3, 3), 0.7))
-        assert out["sigma"] == 0.0
-        np.testing.assert_array_equal(out["color"], np.zeros(3))
-        assert out["m_ss"] == 0.0 and out["m_dy"] == 0.0
+        total, share, values = composite_point(np.zeros(3), np.full((3, 3), 0.7), np.ones(3))
+        assert total == 0.0
+        np.testing.assert_array_equal(values[0:3], np.zeros(3))
+        np.testing.assert_array_equal(share, np.zeros(3))
+        assert values[4] == 0.0 and values[5] == 0.0
+
+
+class TestBackwardComposite:
+    """Central differences of composite_rays against backward_composite."""
+
+    CHANNELS = ("color", "uncertainty", "mask_ss", "mask_dy")
+
+    @staticmethod
+    def layer_values(seed, n=6, k=5):
+        rng = np.random.default_rng(seed)
+        sigma = rng.uniform(0.05, 3.0, (n * k, 3))
+        # Exactly zero density in some layers of some samples, one sample
+        # with no density at all (not live), and one live sample whose
+        # total is carried by a single layer.
+        sigma[rng.random((n * k, 3)) < 0.3] = 0.0
+        sigma[3] = 0.0
+        sigma[7] = [0.0, 0.0, 1.5]
+        color = rng.uniform(0.05, 0.95, (n * k, 3, 3))
+        beta = rng.uniform(0.05, 1.0, (n * k, 3))
+        deltas = rng.uniform(0.05, 0.6, (n, k))
+        return sigma, color, beta, deltas
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("channel", CHANNELS)
+    def test_each_channel_gradient_matches_finite_differences(self, seed, channel):
+        sigma, color, beta, deltas = self.layer_values(seed)
+        n = deltas.shape[0]
+        beta_min = 0.03
+        weight = np.random.default_rng(100 + seed).standard_normal((n, 3) if channel == "color" else n)
+
+        def loss(s, c, b):
+            bundle, _ = composite_rays(s, c, b, deltas, beta_min)
+            return float(np.sum(weight * getattr(bundle, channel)))
+
+        _, cache = composite_rays(sigma, color, beta, deltas, beta_min)
+        grads = {f"d_{name}": 0.0 for name in self.CHANNELS}
+        grads[f"d_{channel}"] = weight
+        d_sigma, d_color, d_beta = backward_composite(cache, **grads)
+        assert d_sigma.shape == sigma.shape
+        assert d_color.shape == color.shape
+        assert d_beta.shape == beta.shape
+
+        live = sigma.sum(axis=-1) > 0.0
+        assert live.sum() < live.size  # the dead sample is in the batch
+        h = 1e-5
+        worst = 0.0
+        for x, dx in ((sigma, d_sigma), (color, d_color), (beta, d_beta)):
+            for i in np.flatnonzero(live):
+                for j in np.ndindex(x.shape[1:]):
+                    at = (i,) + j
+                    old = x[at]
+                    x[at] = old + h
+                    lp = loss(sigma, color, beta)
+                    x[at] = old - h
+                    lm = loss(sigma, color, beta)
+                    x[at] = old
+                    fd = (lp - lm) / (2.0 * h)
+                    worst = max(worst, abs(dx[at] - fd) / max(abs(fd), abs(dx[at]), 1e-3))
+        assert worst < 1e-6
+
+    def test_zero_density_layers_take_no_color_or_beta_gradient(self):
+        sigma, color, beta, deltas = self.layer_values(2)
+        _, cache = composite_rays(sigma, color, beta, deltas, 0.03)
+        n = deltas.shape[0]
+        rng = np.random.default_rng(3)
+        _, d_color, d_beta = backward_composite(
+            cache, rng.standard_normal((n, 3)), rng.standard_normal(n),
+            rng.standard_normal(n), rng.standard_normal(n),
+        )
+        empty = sigma == 0.0
+        assert empty.any()
+        np.testing.assert_array_equal(d_color[empty], 0.0)
+        np.testing.assert_array_equal(d_beta[empty], 0.0)
 
 
 def transparent_params(cfg):
@@ -134,7 +214,7 @@ class TestRenderRay:
         pts = np.array([[[0.0, 0.0, 0.0], [55.0, 55.0, 55.0]]])
         pts_cam = np.array([[[0.0, 0.0, 9.0], [0.0, 0.0, 9.0]]])  # behind camera
         deltas = np.array([[10.0, 10.0]])
-        bundle = render_batch(params, pts, pts_cam, deltas, np.array([0]))
+        bundle, _, _ = render_batch(params, pts, pts_cam, deltas, np.array([0]))
         assert bundle.mask_ss[0] == pytest.approx(1.0 - np.exp(-20.0), rel=1e-12)
         assert bundle.mask_dy[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -149,7 +229,7 @@ class TestRenderRay:
         pts_cam = np.concatenate([xy, -d[..., None]], axis=-1)
         deltas = np.abs(rng.uniform(0.05, 1.0, (n, 3)))
         t_idx = rng.integers(0, cfg.n_frames, n)
-        bundle = render_batch(params, pts, pts_cam, deltas, t_idx)
+        bundle, _, _ = render_batch(params, pts, pts_cam, deltas, t_idx)
         for i in range(n):
             ref = naive_render_ray(params, pts[i], pts_cam[i], deltas[i], int(t_idx[i]))
             np.testing.assert_allclose(bundle.color[i], ref["color"], atol=1e-12)
@@ -165,7 +245,7 @@ class TestRenderRay:
         pts = pts.reshape(8, 8, 3)
         pts_cam = pts_cam.reshape(8, 8, 3)
         deltas = np.abs(np.random.default_rng(25).uniform(0.05, 0.8, (8, 8)))
-        _, cache = render_batch(params, pts, pts_cam, deltas, t_idx[:8], want_cache=True)
+        _, cache, _ = render_batch(params, pts, pts_cam, deltas, t_idx[:8])
         total = cache.weights.sum(axis=1) + cache.t_bg
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
@@ -174,7 +254,7 @@ class TestRenderRay:
         params = randomized_params(cfg, seed=26)
         pts, pts_cam, t_idx = sample_points(cfg, 40, seed=27)
         deltas = np.full((8, 5), 0.3)
-        bundle = render_batch(
+        bundle, _, _ = render_batch(
             params, pts.reshape(8, 5, 3), pts_cam.reshape(8, 5, 3), deltas, t_idx[:8]
         )
         total = bundle.mask_ss + bundle.mask_dy + bundle.mask_st + bundle.t_bg
@@ -188,7 +268,7 @@ class TestRenderRay:
         params.blocks["dy_zmap_b"][...] = np.array([1.0, 0.0])
         pts, pts_cam, t_idx = sample_points(cfg, 60, seed=29)
         deltas = np.full((12, 5), 0.4)
-        bundle = render_batch(
+        bundle, _, _ = render_batch(
             params, pts.reshape(12, 5, 3), pts_cam.reshape(12, 5, 3), deltas, t_idx[:12]
         )
         np.testing.assert_allclose(bundle.mask_dy, 0.0, atol=1e-12)
@@ -202,7 +282,7 @@ class TestRenderRay:
             params.blocks["ss_grids"][..., 0, 0] = softplus_inv(sig)
             pts = np.array([[[0.0, 0.0, 0.0], [55.0, 55.0, 55.0]]])
             pts_cam = np.full((1, 2, 3), 9.0)
-            bundle = render_batch(params, pts, pts_cam, np.array([[0.5, 0.5]]), np.array([0]))
+            bundle, _, _ = render_batch(params, pts, pts_cam, np.array([[0.5, 0.5]]), np.array([0]))
             values.append(bundle.mask_ss[0])
         assert all(b > a for a, b in zip(values, values[1:]))
 

@@ -5,6 +5,7 @@ from layermotion import scenegen
 from layermotion.dataset import dataset_from_scene
 from layermotion.errors import ConfigError, DomainError
 from layermotion.fields import init_params
+from layermotion.losses import LossConfig
 from layermotion.trainer import (
     GUARD_EVERY,
     Adam,
@@ -112,31 +113,32 @@ class TestTrain:
         params = init_params(bare.field_config(), seed=0)
         with pytest.raises(ConfigError):
             train(params, bare, TrainConfig(**TINY_TRAIN))
-        out, _ = train(params, bare, TrainConfig(**{**TINY_TRAIN, "losses": ("rgb",)}))
+        out, _ = train(params, bare, TrainConfig(**{**TINY_TRAIN, "loss": LossConfig.from_names(["rgb"])}))
         assert out is not None
 
     def test_config_validation(self):
         for bad in (
             dict(learning_rate=0.0), dict(epochs=-1), dict(n_samples=1),
             dict(steps_per_epoch=0), dict(steps_per_epoch=-3),
-            dict(threshold=1.5), dict(threshold=0.0), dict(lambda_pmf=-1.0),
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
+        # The loss settings are checked where they live.
+        for bad in (dict(threshold=1.5), dict(threshold=0.0), dict(lambda_pmf=-1.0)):
+            with pytest.raises(ConfigError):
+                LossConfig(**bad)
 
     def test_refine_config_shares_the_checks(self):
         for bad in (
             dict(learning_rate=0.0), dict(rays_per_step=0), dict(n_samples=1),
-            dict(threshold=1.5), dict(neighbors=-1), dict(steps=-1),
+            dict(neighbors=-1), dict(steps=-1),
         ):
             with pytest.raises(ConfigError):
                 RefineConfig(frames=(0,), **bad)
 
     def test_loss_defaults_have_one_source(self):
-        from layermotion.losses import LossConfig
-
         for cfg in (TrainConfig(), RefineConfig(frames=(0,))):
-            assert cfg.loss_config() == LossConfig()
+            assert cfg.loss == LossConfig()
         assert LossConfig.from_names(["rgb", " pmf", "nmf", ""]) == LossConfig()
         with pytest.raises(ConfigError):
             LossConfig.from_names(["rgb", "bogus"])
