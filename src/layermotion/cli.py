@@ -374,6 +374,16 @@ def _predictions_from_pgm_dir(pred_dir: Path, frames, shape):
     return preds
 
 
+def _read_mask_dump(path: Path, shape) -> np.ndarray:
+    """A rendered mask dump. Masks are density shares, so a value outside
+    [0, 1] by more than rounding (1e-12) is `DataError`; NaN is left to
+    `evaluate`, which rejects any non-finite score."""
+    mask = imgio.read_f64(path, shape)
+    if np.any((mask < -1e-12) | (mask > 1.0 + 1e-12)):
+        raise DataError(f"{path}: mask values outside [0, 1]")
+    return mask
+
+
 def cmd_eval(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
@@ -389,10 +399,8 @@ def cmd_eval(args) -> int:
     ):
         shape = (ds.height, ds.width)
         preds = {
-            t: (
-                imgio.read_f64(render_dir / f"mask_ss_{t:04d}.f64", shape),
-                imgio.read_f64(render_dir / f"mask_dy_{t:04d}.f64", shape),
-            )
+            t: tuple(_read_mask_dump(render_dir / f"{key}_{t:04d}.f64", shape)
+                     for key in ("mask_ss", "mask_dy"))
             for t in frames
         }
         ckpt = _pick_checkpoint(ws)

@@ -76,7 +76,7 @@ def evaluate(predictions, ground_truth, frames, label: str = "") -> EvalReport:
 
     `predictions` maps frame index -> (mask_ss, mask_dy) score images;
     `ground_truth` provides mask_dyn / mask_ss arrays indexed by frame.
-    Pure function of its inputs.
+    Pure function of its inputs. A non-finite score raises `DataError`.
     """
     per_frame: dict[str, dict[int, float]] = {c: {} for c in CATEGORIES}
     skipped: dict[str, list[int]] = {c: [] for c in CATEGORIES}
@@ -88,6 +88,8 @@ def evaluate(predictions, ground_truth, frames, label: str = "") -> EvalReport:
         mask_dy = np.asarray(mask_dy, dtype=np.float64)
         if mask_ss.shape != gt_ss.shape or mask_dy.shape != gt_dyn.shape:
             raise DataError(f"frame {t}: prediction/ground-truth shape mismatch")
+        if not (np.all(np.isfinite(mask_ss)) and np.all(np.isfinite(mask_dy))):
+            raise DataError(f"frame {t}: non-finite mask score")
         union_score = np.minimum(mask_ss + mask_dy, 1.0)
         union_gt = gt_dyn | gt_ss
         for cat, score, gt in (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RenderError
-from .fields import FrameField, LayeredFieldParams, eval_layers_batch
+from .fields import LayeredFieldParams, eval_layers_batch
 from .geometry import CameraPose, Ray, camera_rays, clip_ray_to_box, world_to_camera
 
 EPS_SIGMA = 1e-12
@@ -31,7 +31,7 @@ CHANNELS = ("color", "uncertainty", "mask_ss", "mask_dy", "mask_st", "t_bg")
 RENDER_SAMPLES = 64  # default quadrature nodes per rendered ray
 # Sample points per work item of render_frame: one training gradient chunk
 # (512 rays x 16 samples). Sizing items in points, not pixels, keeps each
-# item's gathered grid corners (under 8 MB for a 15-channel grid) the same
+# item's gathered grid corners (under 5 MB for the 9 world channels) the same
 # size at any sample count; 1,024-pixel items at 64 samples ran memory-bound.
 RENDER_POINTS = 8192
 
@@ -262,15 +262,11 @@ def render_frame(
     n_samples: int = RENDER_SAMPLES,
     workers: int = 1,
 ) -> dict[str, np.ndarray]:
-    """Render a full frame; pixel (ix, iy) equals the single-ray render there
-    to rounding.
+    """Render a full frame through :func:`render_batch`, as :func:`render_ray` does.
 
-    The field is evaluated through one :class:`FrameField`, folded once per
-    frame, so pixels agree with :func:`render_ray` to about 1e-15, not bit
-    for bit. Work is split into items of about RENDER_POINTS sample points,
-    written to disjoint output slices. Every pixel is computed independently
-    of the others, so results are bit-identical for any worker count and
-    item size.
+    Work is split into items of about RENDER_POINTS sample points, written to
+    disjoint output slices. Every pixel is computed independently of the
+    others, so results are bit-identical for any worker count and item size.
     """
     t = pose.frame_index if t is None else int(t)
     bad = set(channels) - set(CHANNELS)
@@ -287,7 +283,6 @@ def render_frame(
         for name in channels
     }
 
-    field = FrameField(params, t)
     chunk = max(1, RENDER_POINTS // n_samples)
 
     def run_chunk(start: int) -> None:
@@ -295,9 +290,9 @@ def render_frame(
         sl = slice(start, stop)
         depths, deltas = sample_depths(t_near[sl], t_far[sl], n_samples)
         pts = origin[None, None, :] - nu[sl][:, None, :] * depths[:, :, None]
-        pts_cam = world_to_camera(pose, pts)
-        sigma, color, beta = field.eval(pts.reshape(-1, 3), pts_cam.reshape(-1, 3))
-        bundle, _ = composite_rays(sigma, color, beta, deltas, params.config.beta_min)
+        bundle, _, _ = render_batch(
+            params, pts, world_to_camera(pose, pts), deltas, np.full(stop - start, t)
+        )
         for name in channels:
             out[name][sl] = getattr(bundle, name)
 

@@ -4,14 +4,18 @@ Everything here is written with plain Python loops and math.* calls,
 deliberately sharing no code with the package's vectorized paths. The
 exceptions are `naive_scatter`, `naive_sigmoid` and `naive_lookup`: the
 straightforward former forms of package kernels, kept to check their faster
-replacements for exact equality.
+replacements for exact equality; and `naive_mixed_layer` with
+`naive_unfolded_gradients`: the former per-point time mixing and its adjoint,
+kept to check the folded evaluation's gradients.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from layermotion.errors import DomainError
+from layermotion.fields import BLOCK_NAMES, _lookups, sigmoid
 
 
 def naive_softplus(x):
@@ -87,6 +91,96 @@ def naive_scatter(shape, flat_idx, w, dvals):
     for o in range(8):
         np.add.at(out, flat_idx[:, o], w[:, o, None] * dv)
     return out.reshape(shape)
+
+
+class NaiveMixed(NamedTuple):
+    """Forward intermediates of one time-dependent layer."""
+
+    lookup: object
+    g: np.ndarray  # (B, K, 5) grid reads
+    a: np.ndarray  # (B, K) mixing coefficients
+    z: np.ndarray  # (B, D) temporal codes
+
+
+def naive_mixed_layer(params, which: str, lookup, t_idx):
+    """Pre-activations (B, 5) of layer `which` ('ss' or 'dy') and its record.
+
+    The layer's K grid reads are mixed by coefficients that are linear in
+    the frame's temporal code, one point at a time.
+    """
+    b = params.blocks
+    g = lookup.read(b[f"{which}_grids"])
+    z = params.code_table(which)[t_idx]
+    a = z @ b[f"{which}_zmap_w"].T + b[f"{which}_zmap_b"]
+    return np.einsum("bk,bkc->bc", a, g), NaiveMixed(lookup, g, a, z)
+
+
+def naive_unfolded_gradients(params, pts_world, pts_cam, t_idx, d_sigma, d_color, d_beta,
+                             wrt=BLOCK_NAMES):
+    """Gradients of the blocks in `wrt` through the former per-point evaluation.
+
+    Every point reads all K grids of each time-dependent layer (15 channels)
+    and mixes them by its frame's coefficients; the adjoint scatters the
+    K-mixed channel gradients and accumulates the code gradients point by
+    point into their frame's row.
+    """
+    cfg = params.config
+    b = params.blocks
+    t_idx = np.asarray(t_idx, dtype=np.int64)
+    world, ss_lookup, dy_lookup, support = _lookups(cfg, pts_world, pts_cam)
+    phi0 = world.read(b["phi0"])
+    pre_st = world.read(b["st_grid"]) + phi0 @ b["st_head"].T
+    pre_ss, ss = naive_mixed_layer(params, "ss", ss_lookup, t_idx)
+    pre_ss = pre_ss + phi0 @ b["ss_head"].T
+    pre_dy, dy = naive_mixed_layer(params, "dy", dy_lookup, t_idx)
+    pre = np.stack([pre_st, pre_ss, pre_dy], axis=1)  # (B, 3 layers, 5 channels)
+    color = sigmoid(pre[:, :, 1:4])
+
+    want = set(wrt)
+    dpre_sig = d_sigma * (sigmoid(pre[:, :, 0]) * support)
+    dpre_col = d_color * (color * (1.0 - color))
+    dpre_bet = d_beta * sigmoid(pre[:, :, 4])
+    dpre = np.concatenate(
+        [dpre_sig[:, :, None], dpre_col, dpre_bet[:, :, None]], axis=2
+    )
+    dpre_st, dpre_ss, dpre_dy = dpre[:, 0], dpre[:, 1], dpre[:, 2]
+
+    grads = {}
+    if "st_grid" in want:
+        grads["st_grid"] = world.adjoint(b["st_grid"].shape, dpre_st)
+    if "st_head" in want:
+        grads["st_head"] = dpre_st.T @ phi0
+    if "ss_head" in want:
+        grads["ss_head"] = dpre_ss.T @ phi0
+    if "phi0" in want:
+        dphi0 = dpre_st @ b["st_head"] + dpre_ss @ b["ss_head"]
+        grads["phi0"] = world.adjoint(b["phi0"].shape, dphi0)
+
+    for which, dpre_l, (lookup, g, a, z) in zip(("ss", "dy"), (dpre_ss, dpre_dy), (ss, dy)):
+        grid, zmap_w, zmap_b, code = (
+            f"{which}_grids", f"{which}_zmap_w", f"{which}_zmap_b", f"code_{which}"
+        )
+        if grid in want:
+            dg = a[:, :, None] * dpre_l[:, None, :]  # (B, K, 5)
+            grads[grid] = lookup.adjoint(b[grid].shape, dg)
+        if want.isdisjoint((zmap_w, zmap_b, code)):
+            continue
+        da = np.einsum("bkc,bc->bk", g, dpre_l)
+        if zmap_w in want:
+            grads[zmap_w] = da.T @ z
+        if zmap_b in want:
+            grads[zmap_b] = da.sum(axis=0)
+        if code not in want:
+            continue
+        dz = da @ b[zmap_w]
+        # z = code[t] @ basis -> accumulate dz @ basis^T into row t
+        rows = dz @ params.basis.T  # (B, P)
+        n_t, n_p = b[code].shape
+        acc = np.empty((n_t, n_p))
+        for p in range(n_p):
+            acc[:, p] = np.bincount(t_idx, weights=rows[:, p], minlength=n_t)
+        grads[code] = acc
+    return grads
 
 
 def naive_eval_point(params, x, x_cam, t):

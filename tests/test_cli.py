@@ -3,6 +3,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from layermotion.cli import main, read_config_file, sha256_file
@@ -290,6 +291,35 @@ class TestRenderSource:
         assert run(["eval", "--workspace", ws] + TINY) == 3
         err = capsys.readouterr().err
         assert err.startswith("bad artifact: ") and "source.json" in err
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.nan, "frame 0: non-finite mask score"),
+    (7.0, "mask_dy_0000.f64: mask values outside [0, 1]"),
+    (-1e-9, "mask_dy_0000.f64: mask values outside [0, 1]"),
+], ids=["nan", "seven", "negative"])
+def test_eval_rejects_corrupt_mask_dumps(mini_ws, tmp_path, capsys, value, message):
+    # Each once scored: NaN gave Dyn 80.58 and 7.0 gave 79.53, both exit 0.
+    ws = tmp_path / "ws"
+    shutil.copytree(mini_ws, ws)
+    dump = ws / "renders" / "mask_dy_0000.f64"
+    values = np.frombuffer(dump.read_bytes(), dtype="<f8").copy()
+    values[17] = value
+    dump.write_bytes(values.astype("<f8").tobytes())
+    capsys.readouterr()
+    assert run(["eval", "--workspace", ws] + TINY) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("bad artifact: ") and message in err
+
+
+def test_mask_dumps_within_rounding_of_the_unit_range_are_scored(mini_ws, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(mini_ws, ws)
+    dump = ws / "renders" / "mask_dy_0000.f64"
+    values = np.frombuffer(dump.read_bytes(), dtype="<f8").copy()
+    values[17], values[18] = -1e-13, 1.0 + 1e-13
+    dump.write_bytes(values.astype("<f8").tobytes())
+    assert run(["eval", "--workspace", ws] + TINY) == 0
 
 
 def test_numerical_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch):

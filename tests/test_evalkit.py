@@ -139,6 +139,16 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate({0: (np.zeros((3, 3)), np.zeros((3, 3)))}, gt, [0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_score(self, bad, which):
+        # argsort ranks NaN last, so a NaN score once gave a plausible AP.
+        gt = _gt(np.eye(4, dtype=bool)[None], np.zeros((1, 4, 4), dtype=bool))
+        masks = [np.full((4, 4), 0.5), np.full((4, 4), 0.5)]
+        masks[which][2, 3] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            evaluate({0: tuple(masks)}, gt, [0])
+
     def test_pure_function(self):
         rng = np.random.default_rng(5)
         dyn = rng.random((2, 5, 5)) > 0.5

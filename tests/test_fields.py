@@ -12,7 +12,6 @@ from layermotion.fields import (
     BLOCK_NAMES,
     PARTITION,
     FieldConfig,
-    FrameField,
     FrustumSpec,
     _Lookup,
     backward_eval_layers,
@@ -27,7 +26,13 @@ from layermotion.fields import (
     zero_params,
 )
 
-from naive_ref import naive_eval_point, naive_lookup, naive_scatter, naive_sigmoid
+from naive_ref import (
+    naive_eval_point,
+    naive_lookup,
+    naive_scatter,
+    naive_sigmoid,
+    naive_unfolded_gradients,
+)
 
 
 def small_frustum(n=8):
@@ -215,36 +220,106 @@ class TestEvalLayers:
         assert np.all((color >= 0) & (color <= 1))
 
 
-class TestFrameField:
-    """The per-frame folded evaluator against the per-point path, to rounding."""
+def mixed_frame_case(n_frames, n=240, seed=41):
+    """Unequal resolutions and mixture sizes, and a batch mixing every frame,
+    with points outside the world box and behind the camera."""
+    cfg = small_config(
+        n_frames=n_frames, grid_res=6, ss_grid_res=5, dyn_grid_res=4, mix_k=2, dyn_mix_k=3
+    )
+    params = randomized_params(cfg, seed=40 + n_frames)
+    pts, pts_cam, t_idx = sample_points(cfg, n, seed=seed)
+    pts[: n // 4] *= 3.0  # mostly outside the world box
+    pts_cam[n // 6 : n // 3, 2] *= -1.0  # behind the camera
+    assert np.unique(t_idx).size == n_frames
+    return params, pts, pts_cam, t_idx
+
+
+class TestMixedFrames:
+    """The folded evaluation against the per-point scalar oracle, on batches
+    whose points belong to different frames."""
 
     @pytest.mark.parametrize("n_frames", [1, 2, 6])
-    def test_matches_eval_layers_batch(self, n_frames):
-        cfg = small_config(
-            n_frames=n_frames, grid_res=6, ss_grid_res=5, dyn_grid_res=4, mix_k=2, dyn_mix_k=3
-        )
-        params = randomized_params(cfg, seed=40 + n_frames)
-        pts, pts_cam, _ = sample_points(cfg, 240, seed=41)
-        pts[:60] *= 3.0  # mostly outside the world box
-        pts_cam[40:80, 2] *= -1.0  # behind the camera
-        for t in range(n_frames):
-            want = eval_layers_batch(params, pts, pts_cam, np.full(len(pts), t))
-            got = FrameField(params, t).eval(pts, pts_cam)
-            for g, w in zip(got, want):
-                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
-        assert np.any(want[0][:60, 0] == 0.0) and np.all(want[0][40:80, 2] == 0.0)
+    def test_matches_eight_corner_oracle(self, n_frames):
+        params, pts, pts_cam, t_idx = mixed_frame_case(n_frames)
+        sigma, color, beta, _ = eval_layers_batch(params, pts, pts_cam, t_idx)
+        for i in range(len(pts)):
+            ref = naive_eval_point(params, pts[i], pts_cam[i], int(t_idx[i]))
+            # Behind the camera the dynamic density is 0, and the oracle
+            # leaves that layer's colour and beta at their values for a zero
+            # pre-activation; with no density they never reach a render.
+            in_front = -pts_cam[i, 2] > 1e-9
+            for l in range(3):
+                np.testing.assert_allclose(sigma[i, l], ref[l][0], rtol=0.0, atol=1e-12)
+                if l < 2 or in_front:
+                    np.testing.assert_allclose(color[i, l], ref[l][1], rtol=0.0, atol=1e-12)
+                    np.testing.assert_allclose(beta[i, l], ref[l][2], rtol=0.0, atol=1e-12)
+        assert np.any(sigma[:60, 0] == 0.0) and np.all(sigma[40:80, 2] == 0.0)
 
     def test_keeps_the_errors(self):
         params = zero_params(small_config())
+        pts = np.zeros((2, 3))
         for t in (5, -1):
             with pytest.raises(DomainError, match="frame index"):
-                FrameField(params, t)
-        field = FrameField(params, 4)
+                eval_layers_batch(params, pts, pts, np.array([4, t]))
         for bad in (np.array([[np.nan, 0.0, 0.0]]), np.array([[0.0, np.inf, 0.0]])):
             with pytest.raises(NumericalError):
-                field.eval(bad, np.zeros((1, 3)))
+                eval_layers_batch(params, bad, np.zeros((1, 3)), np.array([4]))
             with pytest.raises(NumericalError):
-                field.eval(np.zeros((1, 3)), bad)
+                eval_layers_batch(params, np.zeros((1, 3)), bad, np.array([4]))
+
+
+def test_empty_batch():
+    params = randomized_params(small_config())
+    sigma, color, beta, cache = eval_layers_batch(
+        params, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=int)
+    )
+    assert sigma.shape == (0, 3) and color.shape == (0, 3, 3) and beta.shape == (0, 3)
+    grads = backward_eval_layers(params, cache, sigma, color, beta)
+    for name in BLOCK_NAMES:
+        assert grads[name].shape == params.blocks[name].shape
+        assert not grads[name].any()
+
+
+class TestFoldedAdjoint:
+    """`backward_eval_layers` against the former per-point adjoint, every block.
+
+    The fold reorders the sums, so the two agree to rounding, not bit for bit.
+    """
+
+    # the `wrt` sets of TestBackwardSubset
+    WRT = [BLOCK_NAMES, PARTITION["ss"] + PARTITION["dy"], ()] + [(n,) for n in BLOCK_NAMES]
+
+    @staticmethod
+    def check(params, pts, pts_cam, t_idx, wrt):
+        rng = np.random.default_rng(len(t_idx))
+        upstream = (
+            rng.standard_normal((len(t_idx), 3)),
+            rng.standard_normal((len(t_idx), 3, 3)),
+            rng.standard_normal((len(t_idx), 3)),
+        )
+        *_, cache = eval_layers_batch(params, pts, pts_cam, t_idx)
+        got = backward_eval_layers(params, cache, *upstream, wrt=wrt)
+        want = naive_unfolded_gradients(params, pts, pts_cam, t_idx, *upstream, wrt=wrt)
+        assert set(got) == set(want) == set(wrt)
+        for name in wrt:
+            assert got[name].shape == want[name].shape
+            err = np.abs(got[name] - want[name]).max()
+            assert err <= 1e-12 * np.abs(want[name]).max(), (name, err)
+        return got
+
+    @pytest.mark.parametrize("n_frames", [1, 2, 6])
+    def test_every_block_and_subset(self, n_frames):
+        params, pts, pts_cam, t_idx = mixed_frame_case(n_frames, n=160, seed=51)
+        for wrt in self.WRT:
+            self.check(params, pts, pts_cam, t_idx, wrt)
+
+    def test_frames_outside_the_batch_get_zero_code_rows(self):
+        params, pts, pts_cam, t_idx = mixed_frame_case(6, n=160, seed=52)
+        t_idx = np.where(t_idx % 2 == 0, 1, 4)  # only frames 1 and 4
+        grads = self.check(params, pts, pts_cam, t_idx, BLOCK_NAMES)
+        for code in ("code_ss", "code_dy"):
+            assert np.all(grads[code][[0, 2, 3, 5]] == 0.0)
+            assert np.all(grads[code][[1, 4]] != 0.0)
 
 
 class TestLookup:

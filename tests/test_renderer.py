@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from layermotion import renderer
 from layermotion.bake import bake_scene
 from layermotion.errors import DomainError
 from layermotion.fields import softplus_inv, zero_params
-from layermotion.geometry import look_at, ray_through_pixel, world_to_camera
+from layermotion.geometry import clip_ray_to_box, look_at, ray_through_pixel, world_to_camera
 from layermotion.renderer import (
     DELTA_CAP,
     RENDER_POINTS,
@@ -297,11 +300,15 @@ class TestRenderFrame:
         frame = render_frame(params, pose, n_samples=9)
         for iy in range(2):
             for ix in range(2):
-                ray = ray_through_pixel(pose, (float(ix), float(iy)))
-                single = render_ray(params, ray, pose, n_samples=9)
-                np.testing.assert_allclose(frame["color"][iy, ix], single.color, atol=1e-12)
-                assert frame["mask_dy"][iy, ix] == pytest.approx(single.mask_dy, abs=1e-12)
-                assert frame["t_bg"][iy, ix] == pytest.approx(single.t_bg, abs=1e-12)
+                # the single-ray sampling of render_ray, rendered by the scalar oracle
+                ray = clip_ray_to_box(ray_through_pixel(pose, (float(ix), float(iy))),
+                                      cfg.world_lo, cfg.world_hi)
+                depths, deltas = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), 9)
+                pts = ray.point_at(depths[0])
+                single = naive_render_ray(params, pts, world_to_camera(pose, pts), deltas[0], 1)
+                np.testing.assert_allclose(frame["color"][iy, ix], single["color"], atol=1e-12)
+                assert frame["mask_dy"][iy, ix] == pytest.approx(single["mask_dy"], abs=1e-12)
+                assert frame["t_bg"][iy, ix] == pytest.approx(single["t_bg"], abs=1e-12)
 
     def test_worker_count_invariance(self):
         # 48 x 48 = 2304 pixels in items of RENDER_POINTS // 12 pixels (682 at
@@ -328,6 +335,38 @@ class TestRenderFrame:
         split = render_frame(params, pose, n_samples=12)
         for key in whole:
             np.testing.assert_array_equal(split[key], whole[key])
+
+    def test_tracer_sees_the_field_evaluation(self):
+        # perfbench/tracer.py counts a frame's points and samples through the
+        # `render_batch` and `eval_layers_batch` globals of `renderer`, which
+        # render_frame calls once per work item.
+        import layermotion
+        import layermotion.cli  # the tracer wraps `cli.render_frame`
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+
+        cfg = small_config(frustum=small_frustum(48))
+        params = randomized_params(cfg, seed=33)
+        pose = look_at((0.7, -0.2, 0.1), (0, 0, 0), fx=8, fy=8, cx=23.5, cy=23.5)
+        n_samples = 12
+        items = -(-48 * 48 // (RENDER_POINTS // n_samples))
+        spans = tracer.Tracer()
+        with tracer.Instrumentation(spans, layermotion):
+            layermotion.cli.render_frame(params, pose, t=2, n_samples=n_samples, workers=2)
+        by_name = {}
+        for span in spans.spans:
+            by_name.setdefault(span.name, []).append(span)
+        assert len(by_name["renderer.render_frame"]) == 1
+        for name in ("renderer.render_batch", "fields.eval_layers_batch", "renderer.chunk"):
+            assert len(by_name[name]) == items, name
+        assert sum(s.attrs["samples"] for s in by_name["renderer.render_batch"]) == 48 * 48 * n_samples
+        assert sum(s.attrs["points"] for s in by_name["fields.eval_layers_batch"]) == 48 * 48 * n_samples
+        metrics = tracer.rep_metrics(spans.spans, 1.0, 2, 39)
+        assert metrics["renderer.samples"] == metrics["fields.eval_layers_batch.points"] == 48 * 48 * n_samples
+        assert layermotion.cli.render_frame is renderer.render_frame  # restored
 
     def test_unknown_channel_rejected(self):
         params = zero_params(small_config())
