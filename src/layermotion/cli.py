@@ -32,7 +32,6 @@ from .losses import LossConfig
 from .renderer import RENDER_SAMPLES, render_frame
 from .scenegen import (
     BENCH_V1,
-    MotionMask,
     SceneConfig,
     benchmark_config,
     degrade_to_pseudo_masks,
@@ -95,7 +94,11 @@ def read_config_file(path) -> dict:
 
 
 def _settings(args) -> dict:
-    """Table defaults, overridden by the config file, overridden by flags."""
+    """Table defaults, overridden by the config file, overridden by flags.
+
+    Every subcommand checks the loss settings: `cfg["loss"]` is the one
+    `LossConfig` built from them, which owns the binarization threshold.
+    """
     cfg = {key: default for key, (_, default, _) in _SETTINGS.items()}
     if args.config:
         cfg.update(read_config_file(args.config))
@@ -107,17 +110,25 @@ def _settings(args) -> dict:
         cfg["workers"] = os.cpu_count() or 1
     if cfg["render_samples"] < 2:
         raise ConfigError("render_samples must be at least 2")
+    cfg["loss"] = LossConfig.from_names(
+        cfg["losses"].split(","),
+        lambda_pmf=cfg["lambda_pmf"],
+        lambda_nmf=cfg["lambda_nmf"],
+        threshold=cfg["threshold"],
+    )
     return cfg
 
 
 def _parse_frames(text: str | None, ds: Dataset) -> tuple[int, ...]:
-    """The comma-separated frame list, or the dataset's eval frames when empty."""
+    """The comma-separated frame list, or the dataset's eval frames when unset."""
     if not text:
         return ds.eval_frames
     try:
         frames = tuple(int(s) for s in str(text).split(",") if s.strip() != "")
     except ValueError as e:
         raise ConfigError(f"bad frame list: {text!r}") from e
+    if not frames:
+        raise ConfigError(f"empty frame list: {text!r}")
     bad = [t for t in frames if not 0 <= t < ds.n_frames]
     if bad:
         raise ConfigError(f"frames {bad} outside [0, {ds.n_frames})")
@@ -174,9 +185,7 @@ def _scene_config(cfg: dict) -> SceneConfig:
         base = SceneConfig(name=name, n_frames=t, height=h, width=w, seed=cfg["seed"], eval_stride=max(t // 8, 1))
     else:
         raise ConfigError(f"unknown scene '{name}'")
-    return dataclasses.replace(
-        base, recall=cfg["recall"], fpr=cfg["fpr"], threshold=cfg["threshold"]
-    )
+    return dataclasses.replace(base, recall=cfg["recall"], fpr=cfg["fpr"])
 
 
 def _optim_settings(cfg: dict) -> dict:
@@ -184,12 +193,7 @@ def _optim_settings(cfg: dict) -> dict:
     return dict(
         rays_per_step=cfg["rays_per_step"],
         n_samples=cfg["n_samples"],
-        loss=LossConfig.from_names(
-            cfg["losses"].split(","),
-            lambda_pmf=cfg["lambda_pmf"],
-            lambda_nmf=cfg["lambda_nmf"],
-            threshold=cfg["threshold"],
-        ),
+        loss=cfg["loss"],
         seed=cfg["seed"],
         workers=cfg["workers"],
     )
@@ -213,10 +217,7 @@ def cmd_generate(args) -> int:
     scene_cfg = _scene_config(cfg)
     scene = generate_scene(scene_cfg)
     gt = render_ground_truth(scene)
-    pseudo = degrade_to_pseudo_masks(
-        gt, recall=scene_cfg.recall, fpr=scene_cfg.fpr, seed=scene_cfg.seed,
-        threshold=scene_cfg.threshold,
-    )
+    pseudo = degrade_to_pseudo_masks(gt, recall=scene_cfg.recall, fpr=scene_cfg.fpr, seed=scene_cfg.seed)
     created = write_dataset(ws.dataset_dir, scene, gt, pseudo, scene_cfg)
     ws.record("generate", "dataset", created)
     print(f"dataset: {scene.n_frames} frames {scene.height}x{scene.width} -> {ws.dataset_dir}")
@@ -296,23 +297,36 @@ def _pick_checkpoint(ws: Workspace) -> Path:
     raise MissingArtifactError(f"no checkpoint under {ws.root / 'checkpoints'} (run train first)")
 
 
-def _render_source(ws: Workspace, ckpt: Path) -> dict:
-    """What `renders/source.json` records: the checkpoint the renders came from."""
-    return {"checkpoint": ckpt.relative_to(ws.root).as_posix(), "sha256": sha256_file(ckpt)}
+def _mask_dumps(render_dir: Path, t: int) -> list[Path]:
+    """The (semi-static, dynamic) mask dumps of frame `t`, which eval scores."""
+    return [render_dir / f"{key}_{t:04d}.f64" for key in ("mask_ss", "mask_dy")]
 
 
-def _check_render_source(ws: Workspace, ckpt: Path) -> None:
-    """Raise `DataError` unless `renders/source.json` names `ckpt` as it is now."""
+def _render_source(ws: Workspace, ckpt: Path, dumps) -> dict:
+    """What `renders/source.json` records: the checkpoint the renders came
+    from, and the SHA-256 of each mask dump, by workspace-relative path."""
+    return {
+        "checkpoint": ckpt.relative_to(ws.root).as_posix(),
+        "sha256": sha256_file(ckpt),
+        "mask_dumps": {p.relative_to(ws.root).as_posix(): sha256_file(p) for p in dumps},
+    }
+
+
+def _check_render_source(ws: Workspace, ckpt: Path, dumps) -> None:
+    """Raise `DataError` unless `renders/source.json` names `ckpt` as it is
+    now and records each of `dumps` with its current bytes."""
     path = ws.root / "renders" / "source.json"
     try:
         source = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as e:
         raise DataError(f"{path}: cannot tell which checkpoint made the renders ({e})") from e
-    if source != _render_source(ws, ckpt):
-        raise DataError(
-            f"{path}: the renders come from {source!r}, not from the current "
-            f"{ckpt.relative_to(ws.root).as_posix()}; rerun render"
-        )
+    now = _render_source(ws, ckpt, dumps)
+    if not isinstance(source, dict) or any(source.get(k) != now[k] for k in ("checkpoint", "sha256")):
+        raise DataError(f"{path}: the renders do not come from the current {now['checkpoint']}; rerun render")
+    recorded = source.get("mask_dumps")
+    changed = [k for k, v in now["mask_dumps"].items() if not isinstance(recorded, dict) or recorded.get(k) != v]
+    if changed:
+        raise DataError(f"{path}: {changed[0]} differs from what the last render wrote; rerun render")
 
 
 def cmd_render(args) -> int:
@@ -323,7 +337,7 @@ def cmd_render(args) -> int:
     params, meta = load_checkpoint(ckpt)
     frames = _parse_frames(cfg["frames"], ds)
     out_dir = ws.dir("renders")
-    created = []
+    created, dumps = [], []
     for t in frames:
         out = render_frame(
             params, ds.poses[t], t=t, n_samples=cfg["render_samples"], workers=cfg["workers"]
@@ -342,9 +356,10 @@ def cmd_render(args) -> int:
             raw = out_dir / f"{key}_{t:04d}.f64"
             imgio.write_f64(raw, out[key])
             created.append(raw)
+        dumps += _mask_dumps(out_dir, t)
         created.extend(paths.values())
     source = out_dir / "source.json"
-    source.write_text(json.dumps(_render_source(ws, ckpt), indent=1, sort_keys=True) + "\n")
+    source.write_text(json.dumps(_render_source(ws, ckpt, dumps), indent=1, sort_keys=True) + "\n")
     created.append(source)
     ws.record("render", "render", created)
     print(f"rendered {len(frames)} frames -> {out_dir}")
@@ -390,21 +405,15 @@ def cmd_eval(args) -> int:
     ds = load_dataset(ws.dataset_dir)
     frames = _parse_frames(cfg["frames"], ds)
     label = cfg["label"]
-    render_dir = ws.root / "renders"
+    dumps = {t: _mask_dumps(ws.root / "renders", t) for t in frames}
     if args.pred_dir:
         preds = _predictions_from_pgm_dir(Path(args.pred_dir), frames, (ds.height, ds.width))
         report = evaluate(preds, ds, frames, label=label or "external")
-    elif all(
-        (render_dir / f"{key}_{t:04d}.f64").exists() for t in frames for key in ("mask_ss", "mask_dy")
-    ):
-        shape = (ds.height, ds.width)
-        preds = {
-            t: tuple(_read_mask_dump(render_dir / f"{key}_{t:04d}.f64", shape)
-                     for key in ("mask_ss", "mask_dy"))
-            for t in frames
-        }
+    elif all(p.exists() for pair in dumps.values() for p in pair):
         ckpt = _pick_checkpoint(ws)
-        _check_render_source(ws, ckpt)
+        _check_render_source(ws, ckpt, [p for pair in dumps.values() for p in pair])
+        shape = (ds.height, ds.width)
+        preds = {t: tuple(_read_mask_dump(p, shape) for p in pair) for t, pair in dumps.items()}
         label = label or _label(read_sidecar(ckpt)[1])
         report = evaluate(preds, ds, frames, label=label)
     else:
@@ -415,15 +424,11 @@ def cmd_eval(args) -> int:
         )
     out_dir = ws.dir("reports")
     # A loaded dataset always has pseudo-labels; score their quality too.
-    masks = [
-        MotionMask(values=ds.pseudo[t], frame_index=t, threshold=cfg["threshold"])
-        for t in range(ds.n_frames)
-    ]
     quality_path = out_dir / "pseudo_curves.csv"
     with open(quality_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["threshold", "precision", "recall", "fpr", "fnr"])
-        for row in analyze_pseudo_masks(masks, ds):
+        for row in analyze_pseudo_masks(ds.pseudo, ds.mask_dyn):
             w.writerow([f"{row[k]:.6f}" for k in ("threshold", "precision", "recall", "fpr", "fnr")])
     csv_path = out_dir / "eval.csv"
     with open(csv_path, "w", newline="") as fh:

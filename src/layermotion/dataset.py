@@ -26,7 +26,7 @@ from .fields import FieldConfig, FrustumSpec, check_world_box
 from .geometry import CameraPose, camera_rays, load_cameras, save_cameras
 from .losses import RayBatch
 from .renderer import sample_depths
-from .scenegen import GroundTruth, MotionMask, SceneConfig, SceneSpec
+from .scenegen import GroundTruth, SceneConfig, SceneSpec
 
 
 @dataclass
@@ -144,25 +144,21 @@ def _meta(scene: SceneSpec, config: SceneConfig) -> dict:
         "eval_frames": list(config.eval_frames()),
         "recall": config.recall,
         "fpr": config.fpr,
-        "threshold": config.threshold,
     }
 
 
 def dataset_from_scene(
     scene: SceneSpec,
     gt: GroundTruth,
-    pseudo_masks: list[MotionMask] | None,
+    pseudo: np.ndarray | None,
     config: SceneConfig,
 ) -> Dataset:
     """In-memory dataset straight from generation (no disk round trip)."""
-    pseudo = None
-    if pseudo_masks is not None:
-        pseudo = np.stack([m.values for m in pseudo_masks])
     return Dataset(
         rgb=gt.rgb.copy(),
         mask_dyn=gt.mask_dyn.copy(),
         mask_ss=gt.mask_ss.copy(),
-        pseudo=pseudo,
+        pseudo=None if pseudo is None else np.array(pseudo, dtype=np.float64),
         poses=list(scene.cameras),
         meta=_meta(scene, config),
     )
@@ -172,7 +168,7 @@ def write_dataset(
     root,
     scene: SceneSpec,
     gt: GroundTruth,
-    pseudo_masks: list[MotionMask],
+    pseudo: np.ndarray,
     config: SceneConfig,
 ) -> list[Path]:
     """Write the full dataset tree; returns the created file paths."""
@@ -191,7 +187,7 @@ def write_dataset(
         imgio.write_ppm(paths["frame"], gt.rgb[t])
         imgio.write_pgm(paths["mask_dyn"], gt.mask_dyn[t].astype(np.float64))
         imgio.write_pgm(paths["mask_ss"], gt.mask_ss[t].astype(np.float64))
-        imgio.write_pgm(paths["pseudo"], pseudo_masks[t].values)
+        imgio.write_pgm(paths["pseudo"], pseudo[t])
         created.extend(paths.values())
         rows.append([t] + [str(p.relative_to(root)) for p in paths.values()])
     cam_path = root / "cameras.csv"

@@ -130,13 +130,16 @@ def evaluate_params(
     return evaluate(preds, dataset, frames, label=label)
 
 
-def analyze_pseudo_masks(pseudo_masks, ground_truth, thresholds=None) -> list[dict]:
-    """Pooled precision/recall/FPR/FNR of soft pseudo-labels per threshold."""
+def analyze_pseudo_masks(pseudo, mask_dyn, thresholds=None) -> list[dict]:
+    """Pooled precision/recall/FPR/FNR of soft pseudo-labels per threshold.
+
+    `pseudo` holds the soft labels and `mask_dyn` the dynamic ground truth,
+    both (T, H, W).
+    """
     if thresholds is None:
         thresholds = np.round(np.arange(0.05, 1.0, 0.05), 10)
-    values = np.stack([m.values for m in pseudo_masks])
-    gt = np.stack([ground_truth.mask_dyn[m.frame_index] for m in pseudo_masks])
-    gt = gt.astype(bool)
+    values = np.asarray(pseudo, dtype=np.float64)
+    gt = np.asarray(mask_dyn, dtype=bool)
     n_pos = int(gt.sum())
     n_neg = int(gt.size - n_pos)
     rows = []

@@ -125,10 +125,6 @@ class FieldConfig:
     code_rank: int = 4  # P per time-dependent layer
     code_dim: int = 8  # D
     beta_min: float = 0.03
-    init_sigma_static: float = 0.10
-    init_sigma_semi_static: float = 0.02
-    init_sigma_dynamic: float = 0.01
-    init_noise: float = 0.01
 
     def __post_init__(self):
         if self.n_frames < 1:
@@ -181,8 +177,16 @@ def block_shapes(config: FieldConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+# `init_params`: the base density of each layer, and the scale of the
+# symmetry-breaking noise on the grids and heads.
+INIT_SIGMA_STATIC = 0.10
+INIT_SIGMA_SEMI_STATIC = 0.02
+INIT_SIGMA_DYNAMIC = 0.01
+INIT_NOISE = 0.01
+
+
 def init_params(config: FieldConfig, seed: int = 0) -> LayeredFieldParams:
-    """Fresh parameters: near-constant layers at the configured base densities.
+    """Fresh parameters: near-constant layers at the INIT_SIGMA_* base densities.
 
     Mixing-coefficient biases start at (1, 0, ...) so the first grid of each
     time-dependent layer is live from step zero; the codes and maps carry
@@ -191,17 +195,16 @@ def init_params(config: FieldConfig, seed: int = 0) -> LayeredFieldParams:
     cfg = config
     rng = np.random.default_rng(seed)
     shape = block_shapes(cfg)
-    noise = cfg.init_noise
 
     def g(name):
-        return noise * rng.standard_normal(shape[name])
+        return INIT_NOISE * rng.standard_normal(shape[name])
 
     st_grid = g("st_grid")
-    st_grid[..., 0] += softplus_inv(cfg.init_sigma_static)
+    st_grid[..., 0] += softplus_inv(INIT_SIGMA_STATIC)
     ss_grids = g("ss_grids")
-    ss_grids[..., 0, 0] += softplus_inv(cfg.init_sigma_semi_static)
+    ss_grids[..., 0, 0] += softplus_inv(INIT_SIGMA_SEMI_STATIC)
     dy_grids = g("dy_grids")
-    dy_grids[..., 0, 0] += softplus_inv(cfg.init_sigma_dynamic)
+    dy_grids[..., 0, 0] += softplus_inv(INIT_SIGMA_DYNAMIC)
     ss_zmap_b = np.zeros(cfg.mix_k)
     ss_zmap_b[0] = 1.0
     dy_zmap_b = np.zeros(cfg.dyn_mix_k)

@@ -73,7 +73,6 @@ class Ray:
     direction: np.ndarray  # (3,), unit norm
     t_near: float = 0.0
     t_far: float = np.inf
-    pixel: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         o = _as_vec3(self.origin)
@@ -139,7 +138,7 @@ def ray_through_pixel(pose: CameraPose, pixel: tuple[float, float]) -> Ray:
     """Back-project pixel (u_x, u_y) to a world-space ray through the camera center."""
     ux, uy = float(pixel[0]), float(pixel[1])
     # x(tau) = origin - direction*tau must march along the viewing direction.
-    return Ray(origin=pose.center, direction=-pixel_directions(pose, ux, uy), pixel=(ux, uy))
+    return Ray(origin=pose.center, direction=-pixel_directions(pose, ux, uy))
 
 
 def camera_rays(pose: CameraPose, width: int, height: int, world_lo, world_hi):
@@ -173,7 +172,6 @@ def clip_ray_to_box(ray: Ray, lo, hi) -> Ray:
         direction=ray.direction,
         t_near=t_near,
         t_far=max(exit_, t_near + MIN_SPAN),
-        pixel=ray.pixel,
     )
 
 

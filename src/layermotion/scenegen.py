@@ -199,27 +199,6 @@ class GroundTruth:
             raise DomainError("a pixel cannot be both dynamic and semi-static")
 
 
-@dataclass(frozen=True)
-class MotionMask:
-    """Soft pseudo-label for one frame with its binarization threshold."""
-
-    values: np.ndarray  # (H, W) in [0, 1]
-    frame_index: int
-    threshold: float = 0.5
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise DomainError("mask values must lie in [0, 1]")
-        if not (0.0 < self.threshold < 1.0):
-            raise DomainError("threshold must lie in (0, 1)")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def binary(self) -> np.ndarray:
-        return self.values >= self.threshold
-
-
 # ---------------------------------------------------------------------------
 # Scene configuration
 # ---------------------------------------------------------------------------
@@ -234,7 +213,6 @@ class SceneConfig:
     seed: int = 0
     recall: float = 0.6
     fpr: float = 0.002
-    threshold: float = 0.5
     eval_stride: int = 6
 
     def __post_init__(self):
@@ -242,8 +220,6 @@ class SceneConfig:
             raise ConfigError("recall must lie in (0, 1]")
         if not 0.0 <= self.fpr < 1.0:
             raise ConfigError("fpr must lie in [0, 1)")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
 
     def eval_frames(self) -> tuple[int, ...]:
         return tuple(range(0, self.n_frames, self.eval_stride))
@@ -445,9 +421,10 @@ def degrade_to_pseudo_masks(
     recall: float,
     fpr: float,
     seed: int = 0,
-    threshold: float = 0.5,
-) -> list[MotionMask]:
+) -> np.ndarray:
     """Emulate an incomplete-but-precise 2D motion-segmentation model.
+
+    Returns the soft pseudo-labels, (T, H, W) float64 in [0, 1].
 
     Per frame the requested recall is met exactly (up to rounding) by keeping
     a random subset of the eroded true-dynamic region at full confidence;
@@ -462,11 +439,11 @@ def degrade_to_pseudo_masks(
     if not (0.0 <= fpr < 1.0):
         raise DomainError("fpr must lie in [0, 1)")
     t_total, h, w = gt.mask_dyn.shape
-    out = []
+    out = np.zeros((t_total, h, w))
     for t in range(t_total):
         rng = np.random.default_rng([seed, t])
         pos = gt.mask_dyn[t]
-        values = np.zeros((h, w))
+        values = out[t]
         n_pos = int(pos.sum())
         if recall >= 1.0:
             values[pos] = 1.0
@@ -511,5 +488,4 @@ def degrade_to_pseudo_masks(
             if placed:
                 all_idx = np.concatenate(placed)
                 flat[all_idx] = rng.uniform(0.55, 0.9, size=all_idx.size)
-        out.append(MotionMask(values=values, frame_index=t, threshold=threshold))
     return out

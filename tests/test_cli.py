@@ -61,6 +61,14 @@ class TestGenerate:
     def test_unknown_scene_is_config_error(self, tmp_path):
         assert run(["generate", "--workspace", tmp_path / "ws", "--scene", "bogus"]) == 2
 
+    def test_dataset_does_not_depend_on_the_threshold(self, tmp_path):
+        # The threshold is a loss setting; the pseudo-labels stay soft.
+        a, b = tmp_path / "a", tmp_path / "b"
+        for ws, threshold in ((a, 0.3), (b, 0.7)):
+            assert run(["generate", "--workspace", ws, "--scene", "mini:6x24x24",
+                        "--threshold", threshold]) == 0
+        assert tree_hashes(a / "dataset") == tree_hashes(b / "dataset")
+
 
 class TestConfigFile:
     def test_corrupt_key_names_offender(self, tmp_path, capsys):
@@ -201,6 +209,15 @@ class TestFrameRange:
         assert run([sub, "--workspace", mini_ws, f"--frames={frames}"] + TINY) == 2
         assert "outside [0, 6)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["render", "eval", "refine"])
+    def test_empty_frame_list_is_a_config_error(self, mini_ws, capsys, sub):
+        before = tree_hashes(mini_ws)
+        capsys.readouterr()
+        assert run([sub, "--workspace", mini_ws, "--frames=,"] + TINY) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "empty frame list" in err
+        assert tree_hashes(mini_ws) == before
+
 
 @pytest.mark.parametrize("sub, flag, value", [
     ("train", "--n-samples", 1),
@@ -252,8 +269,11 @@ class TestRenderSource:
     def test_render_records_its_checkpoint(self, mini_ws):
         ckpt = mini_ws / "checkpoints" / "model_refined.lmf"
         source = mini_ws / "renders" / "source.json"
+        dumps = sorted(mini_ws.glob("renders/mask_*.f64"))
+        assert len(dumps) == 12
         assert json.loads(source.read_text()) == {
-            "checkpoint": "checkpoints/model_refined.lmf", "sha256": sha256_file(ckpt)
+            "checkpoint": "checkpoints/model_refined.lmf", "sha256": sha256_file(ckpt),
+            "mask_dumps": {p.relative_to(mini_ws).as_posix(): sha256_file(p) for p in dumps},
         }
         rows = [line.split(",") for line in (mini_ws / "manifest.csv").read_text().splitlines()]
         assert ["render", "render", "renders/source.json", sha256_file(source)] in rows
@@ -292,6 +312,33 @@ class TestRenderSource:
         err = capsys.readouterr().err
         assert err.startswith("bad artifact: ") and "source.json" in err
 
+    def test_eval_rejects_a_dump_with_other_bytes(self, mini_ws, tmp_path, capsys):
+        # In-range zeros once moved Dyn from 96.76 to 82.61 with exit 0.
+        ws = tmp_path / "ws"
+        shutil.copytree(mini_ws, ws)
+        dump = ws / "renders" / "mask_dy_0000.f64"
+        dump.write_bytes(bytes(len(dump.read_bytes())))
+        before = tree_hashes(ws)
+        capsys.readouterr()
+        assert run(["eval", "--workspace", ws] + TINY) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and err.count("\n") == 1
+        assert "renders/mask_dy_0000.f64 differs from what the last render wrote" in err
+        assert tree_hashes(ws) == before
+
+
+def _overwrite_dump(ws, name, changes):
+    """Set values of a mask dump (index -> value) and record its new bytes in
+    `renders/source.json`, as a render that wrote those values would have."""
+    dump = ws / "renders" / name
+    values = np.frombuffer(dump.read_bytes(), dtype="<f8").copy()
+    values[list(changes)] = list(changes.values())
+    dump.write_bytes(values.astype("<f8").tobytes())
+    source = ws / "renders" / "source.json"
+    recorded = json.loads(source.read_text())
+    recorded["mask_dumps"][f"renders/{name}"] = sha256_file(dump)
+    source.write_text(json.dumps(recorded))
+
 
 @pytest.mark.parametrize("value, message", [
     (np.nan, "frame 0: non-finite mask score"),
@@ -302,10 +349,7 @@ def test_eval_rejects_corrupt_mask_dumps(mini_ws, tmp_path, capsys, value, messa
     # Each once scored: NaN gave Dyn 80.58 and 7.0 gave 79.53, both exit 0.
     ws = tmp_path / "ws"
     shutil.copytree(mini_ws, ws)
-    dump = ws / "renders" / "mask_dy_0000.f64"
-    values = np.frombuffer(dump.read_bytes(), dtype="<f8").copy()
-    values[17] = value
-    dump.write_bytes(values.astype("<f8").tobytes())
+    _overwrite_dump(ws, "mask_dy_0000.f64", {17: value})
     capsys.readouterr()
     assert run(["eval", "--workspace", ws] + TINY) == 3
     err = capsys.readouterr().err
@@ -315,10 +359,7 @@ def test_eval_rejects_corrupt_mask_dumps(mini_ws, tmp_path, capsys, value, messa
 def test_mask_dumps_within_rounding_of_the_unit_range_are_scored(mini_ws, tmp_path):
     ws = tmp_path / "ws"
     shutil.copytree(mini_ws, ws)
-    dump = ws / "renders" / "mask_dy_0000.f64"
-    values = np.frombuffer(dump.read_bytes(), dtype="<f8").copy()
-    values[17], values[18] = -1e-13, 1.0 + 1e-13
-    dump.write_bytes(values.astype("<f8").tobytes())
+    _overwrite_dump(ws, "mask_dy_0000.f64", {17: -1e-13, 18: 1.0 + 1e-13})
     assert run(["eval", "--workspace", ws] + TINY) == 0
 
 

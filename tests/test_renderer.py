@@ -52,8 +52,7 @@ class TestSampling:
     def test_sample_ray_with_pose(self):
         pose = look_at((0.4, 0.0, 0.1), (0, 0, 0), fx=8, fy=8, cx=3.5, cy=3.5)
         ray = ray_through_pixel(pose, (3.5, 3.5))
-        ray = type(ray)(origin=ray.origin, direction=ray.direction, t_near=0.1,
-                        t_far=1.0, pixel=ray.pixel)
+        ray = type(ray)(origin=ray.origin, direction=ray.direction, t_near=0.1, t_far=1.0)
         # the single-ray sampling of render_ray
         depths, _ = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), 6)
         points_cam = world_to_camera(pose, ray.point_at(depths[0]))
