@@ -28,7 +28,7 @@ from .dataset import Dataset, load_dataset, write_dataset
 from .errors import ConfigError, DataError, EngineError, MissingArtifactError, NumericalError
 from .evalkit import analyze_pseudo_masks, evaluate, evaluate_params
 from .fields import init_params, load_checkpoint, read_sidecar, save_checkpoint
-from .losses import LossConfig
+from .losses import LOSS_TERMS, LossConfig
 from .renderer import RENDER_SAMPLES, render_frame
 from .scenegen import (
     BENCH_V1,
@@ -52,7 +52,7 @@ _SETTINGS = {
     "rays_per_step": (int, TrainConfig.rays_per_step, None),
     "n_samples": (int, TrainConfig.n_samples, None),
     "lr": (float, TrainConfig.learning_rate, None),
-    "losses": (str, ",".join(LossConfig().names()), "subset of rgb,pmf,nmf"),
+    "losses": (str, ",".join(LossConfig.terms), "subset of " + ",".join(LOSS_TERMS)),
     "lambda_pmf": (float, LossConfig.lambda_pmf, None),
     "lambda_nmf": (float, LossConfig.lambda_nmf, None),
     "threshold": (float, LossConfig.threshold, None),
@@ -108,10 +108,12 @@ def _settings(args) -> dict:
             cfg[key] = flag
     if cfg["workers"] is None:
         cfg["workers"] = os.cpu_count() or 1
+    if cfg["workers"] < 1:
+        raise ConfigError("workers must be at least 1")
     if cfg["render_samples"] < 2:
         raise ConfigError("render_samples must be at least 2")
-    cfg["loss"] = LossConfig.from_names(
-        cfg["losses"].split(","),
+    cfg["loss"] = LossConfig(
+        terms=tuple(s.strip() for s in cfg["losses"].split(",") if s.strip()),
         lambda_pmf=cfg["lambda_pmf"],
         lambda_nmf=cfg["lambda_nmf"],
         threshold=cfg["threshold"],
@@ -120,7 +122,7 @@ def _settings(args) -> dict:
 
 
 def _parse_frames(text: str | None, ds: Dataset) -> tuple[int, ...]:
-    """The comma-separated frame list, or the dataset's eval frames when unset."""
+    """The comma-separated frame list, each frame once, or the dataset's eval frames when unset."""
     if not text:
         return ds.eval_frames
     try:
@@ -129,6 +131,9 @@ def _parse_frames(text: str | None, ds: Dataset) -> tuple[int, ...]:
         raise ConfigError(f"bad frame list: {text!r}") from e
     if not frames:
         raise ConfigError(f"empty frame list: {text!r}")
+    repeated = [t for i, t in enumerate(frames) if t in frames[:i]]
+    if repeated:
+        raise ConfigError(f"frame {repeated[0]} repeated in {text!r}")
     bad = [t for t in frames if not 0 <= t < ds.n_frames]
     if bad:
         raise ConfigError(f"frames {bad} outside [0, {ds.n_frames})")
@@ -234,8 +239,6 @@ def cmd_train(args) -> int:
         steps_per_epoch=cfg["steps_per_epoch"],
         **_optim_settings(cfg),
     )
-    if tc.epochs < 1:
-        raise ConfigError("epochs must be >= 1")
     params = init_params(ds.field_config(), seed=cfg["seed"])
     log_path = ws.dir("reports") / "training_log.csv"
     try:
@@ -244,7 +247,7 @@ def cmd_train(args) -> int:
         raise NumericalError(f"{e} (see log at {log_path})") from e
     _write_log(log_path, log)
     ckpt = ws.dir("checkpoints") / "model.lmf"
-    meta = {"losses": list(tc.loss.names()), "refined": False, "seed": cfg["seed"], "scene": ds.meta.get("name")}
+    meta = {"losses": list(tc.loss.terms), "refined": False, "seed": cfg["seed"], "scene": ds.meta.get("name")}
     save_checkpoint(params, ckpt, meta)
     ws.record("train", "checkpoint", [ckpt, Path(str(ckpt) + ".json"), log_path])
     print(f"trained {tc.epochs} epochs ({len(log)} steps) -> {ckpt}")

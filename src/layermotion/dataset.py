@@ -34,14 +34,19 @@ class Dataset:
     rgb: np.ndarray  # (T, H, W, 3)
     mask_dyn: np.ndarray  # (T, H, W) bool
     mask_ss: np.ndarray  # (T, H, W) bool
-    pseudo: np.ndarray | None  # (T, H, W) soft labels
-    poses: list[CameraPose]
+    pseudo: np.ndarray  # (T, H, W) soft labels
+    poses: list[CameraPose]  # poses[t] is the camera of frame t
     meta: dict
 
     def __post_init__(self):
         t, h, w, _ = self.rgb.shape
         if len(self.poses) != t:
             raise DataError("camera count does not match frame count")
+        # field_config() builds the dynamic frustum from one set of intrinsics.
+        intrinsics = [(p.fx, p.fy, p.cx, p.cy) for p in self.poses]
+        for i, k in enumerate(intrinsics):
+            if k != intrinsics[0]:
+                raise DataError(f"camera {i} intrinsics {k} differ from camera 0's {intrinsics[0]}")
         self._rays = None
 
     @property
@@ -101,9 +106,6 @@ class Dataset:
             near[t_idx, pix], far[t_idx, pix], n_samples, stratified, seed
         )
         flat_rgb = self.rgb.reshape(self.n_frames, per, 3)
-        pseudo = None
-        if self.pseudo is not None:
-            pseudo = self.pseudo.reshape(self.n_frames, per)[t_idx, pix]
         return RayBatch(
             origins=origins[t_idx],
             nus=nu[t_idx, pix],
@@ -113,22 +115,20 @@ class Dataset:
             depths=depths,
             deltas=deltas,
             target_rgb=flat_rgb[t_idx, pix],
-            mask_values=pseudo,
+            mask_values=self.pseudo.reshape(self.n_frames, per)[t_idx, pix],
         )
 
-    def field_config(self, **overrides) -> FieldConfig:
+    def field_config(self) -> FieldConfig:
         p0 = self.poses[0]
         frustum = FrustumSpec(
             fx=p0.fx, fy=p0.fy, cx=p0.cx, cy=p0.cy, width=self.width, height=self.height
         )
-        kw = dict(
+        return FieldConfig(
             n_frames=self.n_frames,
             frustum=frustum,
             world_lo=tuple(self.meta["world_lo"]),
             world_hi=tuple(self.meta["world_hi"]),
         )
-        kw.update(overrides)
-        return FieldConfig(**kw)
 
 
 def _meta(scene: SceneSpec, config: SceneConfig) -> dict:
@@ -150,7 +150,7 @@ def _meta(scene: SceneSpec, config: SceneConfig) -> dict:
 def dataset_from_scene(
     scene: SceneSpec,
     gt: GroundTruth,
-    pseudo: np.ndarray | None,
+    pseudo: np.ndarray,
     config: SceneConfig,
 ) -> Dataset:
     """In-memory dataset straight from generation (no disk round trip)."""
@@ -158,7 +158,7 @@ def dataset_from_scene(
         rgb=gt.rgb.copy(),
         mask_dyn=gt.mask_dyn.copy(),
         mask_ss=gt.mask_ss.copy(),
-        pseudo=None if pseudo is None else np.array(pseudo, dtype=np.float64),
+        pseudo=np.array(pseudo, dtype=np.float64),
         poses=list(scene.cameras),
         meta=_meta(scene, config),
     )

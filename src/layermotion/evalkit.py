@@ -21,6 +21,8 @@ from .errors import DataError, DomainError
 from .renderer import RENDER_SAMPLES, render_frame
 
 CATEGORIES = ("dyn", "ss", "union")
+# The binarization thresholds at which analyze_pseudo_masks scores the labels.
+PSEUDO_THRESHOLDS = np.round(np.arange(0.05, 1.0, 0.05), 10)
 
 
 def average_precision(scores, gt) -> float:
@@ -130,20 +132,18 @@ def evaluate_params(
     return evaluate(preds, dataset, frames, label=label)
 
 
-def analyze_pseudo_masks(pseudo, mask_dyn, thresholds=None) -> list[dict]:
+def analyze_pseudo_masks(pseudo, mask_dyn) -> list[dict]:
     """Pooled precision/recall/FPR/FNR of soft pseudo-labels per threshold.
 
     `pseudo` holds the soft labels and `mask_dyn` the dynamic ground truth,
-    both (T, H, W).
+    both (T, H, W); one row per PSEUDO_THRESHOLDS entry, ascending.
     """
-    if thresholds is None:
-        thresholds = np.round(np.arange(0.05, 1.0, 0.05), 10)
     values = np.asarray(pseudo, dtype=np.float64)
     gt = np.asarray(mask_dyn, dtype=bool)
     n_pos = int(gt.sum())
     n_neg = int(gt.size - n_pos)
     rows = []
-    for theta in thresholds:
+    for theta in PSEUDO_THRESHOLDS:
         pred = values >= theta
         tp = int(np.sum(pred & gt))
         fp = int(np.sum(pred & ~gt))

@@ -43,7 +43,6 @@ class CameraPose:
     fy: float
     cx: float
     cy: float
-    frame_index: int = 0
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64)
@@ -205,13 +204,16 @@ _CSV_HEADER = (
 
 
 def save_cameras(path, poses: Iterable[CameraPose]) -> None:
-    """Write a camera trajectory CSV: t, row-major rotation, translation, intrinsics."""
+    """Write a camera trajectory CSV: t, row-major rotation, translation, intrinsics.
+
+    Row t is the camera of frame t; the t column holds that position.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_HEADER)
-        for p in poses:
+        for t, p in enumerate(poses):
             row = (
-                [p.frame_index]
+                [t]
                 + [f"{v:.17g}" for v in p.rotation.ravel()]
                 + [f"{v:.17g}" for v in p.translation]
                 + [f"{v:.17g}" for v in (p.fx, p.fy, p.cx, p.cy)]
@@ -220,7 +222,11 @@ def save_cameras(path, poses: Iterable[CameraPose]) -> None:
 
 
 def load_cameras(path) -> list[CameraPose]:
-    """Read a trajectory written by `save_cameras`; a malformed row raises DataError."""
+    """Read a trajectory written by `save_cameras`; a malformed row raises DataError.
+
+    So does a row whose t is not its position: the position alone is the
+    frame index, and the t column must agree with it.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"camera file not found: {path}")
@@ -241,6 +247,8 @@ def load_cameras(path) -> list[CameraPose]:
             vals = [float(v) for v in row]
             if not all(math.isfinite(v) for v in vals):
                 raise DomainError("non-finite value")
+            if vals[0] != len(poses):
+                raise DomainError(f"t is {row[0]}, expected {len(poses)} (row order is frame order)")
             poses.append(
                 CameraPose(
                     rotation=np.array(vals[1:10]).reshape(3, 3),
@@ -249,7 +257,6 @@ def load_cameras(path) -> list[CameraPose]:
                     fy=vals[14],
                     cx=vals[15],
                     cy=vals[16],
-                    frame_index=int(vals[0]),
                 )
             )
         except (ValueError, DomainError) as e:

@@ -31,13 +31,18 @@ from .fields import BLOCK_NAMES, PARTITION, LayeredFieldParams, backward_eval_la
 from .renderer import backward_composite, render_batch
 
 GRAD_CHUNK = 512  # rays per reduction chunk; fixed so workers cannot reorder math
+LOSS_TERMS = ("rgb", "pmf", "nmf")
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    use_rgb: bool = True
-    use_pmf: bool = True
-    use_nmf: bool = True
+    """The enabled loss terms, by name, and the motion-fusion settings.
+
+    `terms` is stored in LOSS_TERMS order without repeats; an unknown name,
+    or none at all, raises `ConfigError`.
+    """
+
+    terms: tuple[str, ...] = LOSS_TERMS
     lambda_pmf: float = 1.1
     lambda_nmf: float = 1.0
     threshold: float = 0.5
@@ -47,33 +52,12 @@ class LossConfig:
             raise ConfigError("lambda_pmf and lambda_nmf must be non-negative")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
-        if not self.names():
-            raise ConfigError("no loss term enabled; name at least one of rgb, pmf, nmf")
-
-    @staticmethod
-    def from_names(names, **weights) -> "LossConfig":
-        """Enable the named terms; `weights` overrides lambda_pmf, lambda_nmf, threshold.
-
-        Names are stripped and empty ones ignored; an unknown name, or no
-        name at all, raises `ConfigError`.
-        """
-        names = {str(n).strip() for n in names} - {""}
-        unknown = names - {"rgb", "pmf", "nmf"}
+        unknown = set(self.terms) - set(LOSS_TERMS)
         if unknown:
             raise ConfigError(f"unknown loss names: {sorted(unknown)}")
-        return LossConfig(
-            use_rgb="rgb" in names, use_pmf="pmf" in names, use_nmf="nmf" in names, **weights
-        )
-
-    def names(self) -> tuple[str, ...]:
-        out = []
-        if self.use_rgb:
-            out.append("rgb")
-        if self.use_pmf:
-            out.append("pmf")
-        if self.use_nmf:
-            out.append("nmf")
-        return tuple(out)
+        if not self.terms:
+            raise ConfigError("no loss term enabled; name at least one of rgb, pmf, nmf")
+        object.__setattr__(self, "terms", tuple(n for n in LOSS_TERMS if n in self.terms))
 
 
 @dataclass(frozen=True)
@@ -97,8 +81,8 @@ class RayBatch:
     t_idx: np.ndarray  # (N,)
     depths: np.ndarray  # (N, K)
     deltas: np.ndarray  # (N, K)
-    target_rgb: np.ndarray | None = None  # (N, 3)
-    mask_values: np.ndarray | None = None  # (N,) soft labels in [0, 1]
+    target_rgb: np.ndarray  # (N, 3)
+    mask_values: np.ndarray  # (N,) soft labels in [0, 1]
 
     @property
     def n_rays(self) -> int:
@@ -144,16 +128,8 @@ def total_loss_and_gradients(
     n = batch.n_rays
     if n == 0:
         raise DomainError("empty ray batch")
-    if cfg.use_rgb and batch.target_rgb is None:
-        raise ConfigError("rgb loss enabled but the batch has no color targets")
-    if (cfg.use_pmf or cfg.use_nmf) and batch.mask_values is None:
-        raise ConfigError("motion-fusion loss enabled but the batch has no masks")
-
-    fused = None
-    n_fused = 0
-    if batch.mask_values is not None:
-        fused = np.asarray(batch.mask_values) >= cfg.threshold
-        n_fused = int(fused.sum())
+    fused = batch.mask_values >= cfg.threshold
+    n_fused = int(fused.sum())
 
     chunks = list(range(0, n, GRAD_CHUNK))
     results: list[tuple] = [None] * len(chunks)
@@ -167,18 +143,18 @@ def total_loss_and_gradients(
         sums = np.zeros(3)  # per-term sums of per-ray contributions
         # Loss gradient per render channel; 0.0 where no enabled term reads it.
         d_color = d_uncertainty = d_mask_ss = d_mask_dy = 0.0
-        if cfg.use_rgb:
+        if "rgb" in cfg.terms:
             resid = bundle.color - batch.target_rgb[sl]
             err = np.sum(resid**2, axis=-1)
             bsq = bundle.uncertainty**2
             sums[0] = np.sum(err / (2.0 * bsq) + np.log(bsq))
             d_color = resid / bsq[:, None] / n
             d_uncertainty = (-err / bundle.uncertainty**3 + 2.0 / bundle.uncertainty) / n
-        if cfg.use_pmf:
+        if "pmf" in cfg.terms:
             d = bundle.mask_dy - batch.mask_values[sl]
             sums[1] = cfg.lambda_pmf * np.sum(d**2)
             d_mask_dy = 2.0 * cfg.lambda_pmf * d / n
-        if cfg.use_nmf and n_fused > 0:
+        if "nmf" in cfg.terms and n_fused > 0:
             sel = fused[sl]
             sums[2] = cfg.lambda_nmf * np.sum((bundle.mask_ss * sel) ** 2)
             d_mask_ss = 2.0 * cfg.lambda_nmf * bundle.mask_ss * sel / n_fused
@@ -206,9 +182,9 @@ def total_loss_and_gradients(
         total_sums += sums
         _add_into(grads, part)
 
-    l_rgb = float(total_sums[0] / n) if cfg.use_rgb else 0.0
-    l_pmf = float(total_sums[1] / n) if cfg.use_pmf else 0.0
-    l_nmf = float(total_sums[2] / n_fused) if (cfg.use_nmf and n_fused > 0) else 0.0
+    l_rgb = float(total_sums[0] / n) if "rgb" in cfg.terms else 0.0
+    l_pmf = float(total_sums[1] / n) if "pmf" in cfg.terms else 0.0
+    l_nmf = float(total_sums[2] / n_fused) if ("nmf" in cfg.terms and n_fused > 0) else 0.0
     l_total = l_rgb + l_pmf + l_nmf
     if not np.isfinite(l_total):
         raise NumericalError("non-finite training loss")

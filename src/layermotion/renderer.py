@@ -236,16 +236,15 @@ def render_ray(
     params: LayeredFieldParams,
     ray: Ray,
     pose: CameraPose,
-    t: int | None = None,
+    t: int,
     n_samples: int = RENDER_SAMPLES,
 ) -> RenderBundle:
-    """Render one ray at frame t (defaults to the pose's frame index).
+    """Render one ray of `pose` at frame t.
 
-    A ray with an infinite t_far is clipped to the world box first.
+    The ray is clipped to the world box first, as :func:`render_frame` clips
+    its pixel rays; pass a `ray_through_pixel` ray.
     """
-    t = pose.frame_index if t is None else int(t)
-    if not np.isfinite(ray.t_far):
-        ray = clip_ray_to_box(ray, params.config.world_lo, params.config.world_hi)
+    ray = clip_ray_to_box(ray, params.config.world_lo, params.config.world_hi)
     depths, deltas = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), n_samples)
     pts = ray.point_at(depths[0])
     bundle, _, _ = render_batch(
@@ -257,18 +256,17 @@ def render_ray(
 def render_frame(
     params: LayeredFieldParams,
     pose: CameraPose,
-    t: int | None = None,
+    t: int,
     channels: tuple[str, ...] = CHANNELS,
     n_samples: int = RENDER_SAMPLES,
     workers: int = 1,
 ) -> dict[str, np.ndarray]:
-    """Render a full frame through :func:`render_batch`, as :func:`render_ray` does.
+    """Render the full frame of `pose` at frame t through :func:`render_batch`.
 
     Work is split into items of about RENDER_POINTS sample points, written to
     disjoint output slices. Every pixel is computed independently of the
     others, so results are bit-identical for any worker count and item size.
     """
-    t = pose.frame_index if t is None else int(t)
     bad = set(channels) - set(CHANNELS)
     if bad:
         raise DomainError(f"unknown render channels: {sorted(bad)}")

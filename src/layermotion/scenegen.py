@@ -312,7 +312,7 @@ def generate_scene(config: SceneConfig) -> SceneSpec:
             [0.52 * math.cos(phi), 0.52 * math.sin(phi), 0.12 + 0.05 * math.sin(2 * math.pi * s)]
         )
         target = np.array([-0.62, 0.12 * math.sin(math.pi * s), 0.05])
-        cameras.append(look_at(pos, target, frame_index=t, **intr))
+        cameras.append(look_at(pos, target, **intr))
 
     return SceneSpec(
         name=config.name,

@@ -69,8 +69,8 @@ class TrainConfig(OptimConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be positive")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
             raise ConfigError("steps_per_epoch must be positive")
 
@@ -177,15 +177,10 @@ def partition_digest(params: LayeredFieldParams, part: str) -> str:
 def train(params: LayeredFieldParams, dataset, cfg: TrainConfig):
     """Optimize all partitions on the dataset; returns (new params, log rows).
 
-    Log rows are dicts matching the training-log CSV columns. With
-    epochs == 0 the parameters are returned unchanged.
+    Log rows are dicts matching the training-log CSV columns.
     """
-    if (cfg.loss.use_pmf or cfg.loss.use_nmf) and dataset.pseudo is None:
-        raise ConfigError("motion fusion enabled but the dataset has no pseudo-masks")
     params = params.copy()
     log: list[dict] = []
-    if cfg.epochs == 0:
-        return params, log
     n_pixels = dataset.n_pixels
     steps_per_epoch = cfg.steps_per_epoch or max(n_pixels // cfg.rays_per_step, 1)
     steps_per_epoch = min(steps_per_epoch, max(n_pixels // cfg.rays_per_step, 1))
@@ -231,8 +226,6 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
     bit-identical to the input; the `grad_norm_st` log column reads 0.0.
     Guard probes evaluate the loss without any backward pass.
     """
-    if (cfg.loss.use_pmf or cfg.loss.use_nmf) and dataset.pseudo is None:
-        raise ConfigError("motion fusion enabled but the dataset has no pseudo-masks")
     frames = refinement_set(cfg.frames, cfg.neighbors, dataset.n_frames)
     params = params.copy()
     log: list[dict] = []

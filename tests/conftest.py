@@ -105,7 +105,7 @@ def bench_runs(bench_dataset):
     }
     for name, losses in variants.items():
         t1 = time.time()
-        params, log = train(base, ds, TrainConfig(loss=LossConfig.from_names(losses), **BENCH_TRAIN))
+        params, log = train(base, ds, TrainConfig(loss=LossConfig(terms=losses), **BENCH_TRAIN))
         out["timings"][f"train_{name}"] = time.time() - t1
         out["params"][name] = params
         out[f"log_{name}"] = log

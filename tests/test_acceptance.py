@@ -8,6 +8,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_criterion_1_gradient_exactness():
                                seed=200 + 10 * li + si, mask_values=mask)
             worst = max(
                 worst,
-                _fd_check(params, batch, LossConfig.from_names(losses), coverage, rng),
+                _fd_check(params, batch, LossConfig(terms=losses), coverage, rng),
             )
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 60.0
@@ -123,8 +124,8 @@ def test_criterion_3_mask_partition(bench_scene, bench_dataset, bench_runs):
     lo, hi = 0.0, 1.0
     baked = bake_scene(
         bench_scene,
-        bench_dataset.field_config(grid_res=32, ss_grid_res=24, dyn_grid_res=24,
-                                   feat_channels=2, mix_k=2, dyn_mix_k=2),
+        dataclasses.replace(bench_dataset.field_config(), grid_res=32, ss_grid_res=24,
+                            dyn_grid_res=24, feat_channels=2, mix_k=2, dyn_mix_k=2),
     )
     for params, t in ((baked, 7), (bench_runs["params"]["lmf"], 30)):
         out = render_frame(params, bench_dataset.poses[t], t=t, n_samples=64,
@@ -149,7 +150,7 @@ def test_criterion_4_freeze_contract(bench_dataset, bench_runs):
     # a second sweep row: color-only test-time refinement
     tr_only, _, _ = refine(
         base, bench_dataset,
-        RefineConfig(frames=bench_dataset.eval_frames, loss=LossConfig.from_names(("rgb",)),
+        RefineConfig(frames=bench_dataset.eval_frames, loss=LossConfig(terms=("rgb",)),
                      **{**BENCH_REFINE, "steps": 60}),
     )
     ok = refined_digest == digest and partition_digest(tr_only, "st") == digest

@@ -52,10 +52,12 @@ def test_the_scan_sees_definitions():
 
 # Settable values: the annotated fields of every `*Config` dataclass, the
 # defaulted parameters of every public function and method (dunders count:
-# `__init__` takes settings too), and the CLI's settings. A change that adds a
-# knob edits these pins and says why; one that removes a knob lowers them.
-CONFIG_FIELDS = 40
-DEFAULTED_PARAMETERS = 25
+# `__init__` takes settings too), the defaulted fields of every other public
+# dataclass, and the CLI's settings. A change that adds a knob edits these
+# pins and says why; one that removes a knob lowers them.
+CONFIG_FIELDS = 38
+DEFAULTED_PARAMETERS = 22
+DATACLASS_DEFAULTS = 17
 CLI_SETTINGS = 20
 
 
@@ -63,18 +65,24 @@ def _public(name: str) -> bool:
     return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+
+
 def settable_values():
-    fields, params = [], []
+    fields, params, defaults = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             functions = []
             if isinstance(node, ast.FunctionDef) and _public(node.name):
                 functions.append((node.name, node))
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                annotated = [s for s in node.body if isinstance(s, ast.AnnAssign)]
                 if node.name.endswith("Config"):
-                    fields += [
-                        f"{path.stem}.{node.name}.{s.target.id}"
-                        for s in node.body if isinstance(s, ast.AnnAssign)
+                    fields += [f"{path.stem}.{node.name}.{s.target.id}" for s in annotated]
+                elif _is_dataclass(node):
+                    defaults += [
+                        f"{path.stem}.{node.name}.{s.target.id}" for s in annotated if s.value is not None
                     ]
                 functions += [
                     (f"{node.name}.{f.name}", f)
@@ -86,16 +94,18 @@ def settable_values():
                 defaulted = positional[len(positional) - len(a.defaults):]
                 defaulted += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
                 params += [f"{path.stem}.{name}({p.arg}=)" for p in defaulted]
-    return fields, params
+    return fields, params, defaults
 
 
 def test_settable_value_ratchet():
     from layermotion import cli
 
-    fields, params = settable_values()
+    fields, params, defaults = settable_values()
     assert "scenegen.SceneConfig.recall" in fields
     assert "renderer.render_frame(workers=)" in params
+    assert "fields.FrustumSpec.margin" in defaults
     assert (len(fields), len(params)) == (CONFIG_FIELDS, DEFAULTED_PARAMETERS), (fields, params)
+    assert len(defaults) == DATACLASS_DEFAULTS, defaults
     assert len(cli._SETTINGS) == CLI_SETTINGS, sorted(cli._SETTINGS)
 
 

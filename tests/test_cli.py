@@ -154,17 +154,34 @@ def _zero_frames(d):
     (d / "meta.json").write_text(json.dumps({**meta, "n_frames": 0}))
 
 
-def _edit_r00(d, edit):
+def _edit_cameras(d, edit):
+    """Apply `edit(header, rows)` to the rows of cameras.csv in place."""
     path = d / "cameras.csv"
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    rows[1][1] = edit(rows[1][1])
+    edit(rows[0], rows[1:])
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
 
+def _edit_r00(d, edit):
+    def r00(header, rows):
+        rows[0][1] = edit(rows[0][1])
+    _edit_cameras(d, r00)
+
+
 def _narrow_pseudo(d):
     (d / "pseudo" / "pseudo_0002.pgm").write_bytes(b"P5\n20 24\n255\n" + bytes(20 * 24))
+
+
+def _reverse_t(header, rows):
+    for row, t in zip(rows, reversed([row[0] for row in rows])):
+        row[0] = t
+
+
+def _double_fx(header, rows):
+    col = header.index("fx")
+    rows[3][col] = repr(2.0 * float(rows[3][col]))
 
 
 class TestMalformedDataset:
@@ -182,7 +199,10 @@ class TestMalformedDataset:
         (lambda d: _edit_r00(d, lambda v: "x" + v), "could not convert"),
         (lambda d: _edit_r00(d, lambda v: repr(1.5 * float(v))), "not orthonormal"),
         (_narrow_pseudo, "image is 20x24"),
-    ], ids=["meta_cut_30_bytes", "n_frames_0", "camera_x_prefix", "rotation_scaled", "pgm_20x24"])
+        (lambda d: _edit_cameras(d, _reverse_t), "row 1: t is 5, expected 0"),
+        (lambda d: _edit_cameras(d, _double_fx), "camera 3 intrinsics"),
+    ], ids=["meta_cut_30_bytes", "n_frames_0", "camera_x_prefix", "rotation_scaled", "pgm_20x24",
+            "t_reversed", "fx_doubled_in_row_3"])
     def test_train_exits_3(self, generated, tmp_path, capsys, corrupt, message):
         ws = tmp_path / "ws"
         shutil.copytree(generated, ws)
@@ -211,12 +231,14 @@ class TestFrameRange:
 
     @pytest.mark.parametrize("sub", ["render", "eval", "refine"])
     def test_empty_frame_list_is_a_config_error(self, mini_ws, capsys, sub):
+        # The (frames, message) pairs run in one test per subcommand.
         before = tree_hashes(mini_ws)
-        capsys.readouterr()
-        assert run([sub, "--workspace", mini_ws, "--frames=,"] + TINY) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "empty frame list" in err
-        assert tree_hashes(mini_ws) == before
+        for frames, message in ((",", "empty frame list"), ("0,0", "frame 0 repeated")):
+            capsys.readouterr()
+            assert run([sub, "--workspace", mini_ws, f"--frames={frames}"] + TINY) == 2, frames
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and message in err
+            assert tree_hashes(mini_ws) == before
 
 
 @pytest.mark.parametrize("sub, flag, value", [
@@ -233,6 +255,9 @@ class TestFrameRange:
     ("refine", "--refine-steps", -1),
     ("train", "--losses", ","),
     ("refine", "--losses", ","),
+    ("train", "--workers", 0),
+    ("render", "--workers", -3),
+    ("train", "--epochs", 0),
 ])
 def test_out_of_range_settings_exit_2(mini_ws, capsys, sub, flag, value):
     # Each run stops before it writes, so the shared workspace stays as it was.

@@ -175,7 +175,8 @@ class TestAnalyzePseudoMasks:
         from layermotion.scenegen import degrade_to_pseudo_masks
 
         exact = degrade_to_pseudo_masks(bench_gt, recall=1.0, fpr=0.0, seed=0)
-        rows = analyze_pseudo_masks(exact, bench_gt.mask_dyn, thresholds=[0.5])
+        rows = [r for r in analyze_pseudo_masks(exact, bench_gt.mask_dyn) if r["threshold"] == 0.5]
+        assert len(rows) == 1
         assert rows[0]["precision"] == 1.0
         assert rows[0]["recall"] == 1.0
         assert rows[0]["fpr"] == 0.0 and rows[0]["fnr"] == 0.0
@@ -183,13 +184,16 @@ class TestAnalyzePseudoMasks:
     def test_inverted_labels(self):
         rng = np.random.default_rng(6)
         dyn = rng.random((2, 8, 8)) > 0.5
-        rows = analyze_pseudo_masks((~dyn).astype(float), dyn, thresholds=[0.5])
+        rows = [r for r in analyze_pseudo_masks((~dyn).astype(float), dyn) if r["threshold"] == 0.5]
+        assert len(rows) == 1
         assert rows[0]["precision"] == 0.0
 
     def test_default_degradation_high_precision_band(self, bench_gt, bench_pseudo):
-        rows = analyze_pseudo_masks(
-            bench_pseudo, bench_gt.mask_dyn, thresholds=np.arange(0.3, 0.7001, 0.05)
-        )
+        rows = [
+            r for r in analyze_pseudo_masks(bench_pseudo, bench_gt.mask_dyn)
+            if 0.3 - 1e-9 <= r["threshold"] <= 0.7 + 1e-9
+        ]
+        assert len(rows) == 9  # 0.30, 0.35, ..., 0.70
         assert all(r["precision"] >= 0.9 for r in rows)
 
     def test_recall_monotone_in_decreasing_threshold(self, bench_gt, bench_pseudo):

@@ -29,7 +29,7 @@ def random_rotation(rng):
     return q
 
 
-def random_pose(rng, frame_index=0):
+def random_pose(rng):
     return CameraPose(
         rotation=random_rotation(rng),
         translation=rng.uniform(-2, 2, 3),
@@ -37,7 +37,6 @@ def random_pose(rng, frame_index=0):
         fy=40.0 + 10 * rng.random(),
         cx=15.5,
         cy=15.5,
-        frame_index=frame_index,
     )
 
 
@@ -224,7 +223,7 @@ class TestPixelDirections:
 class TestCameraCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
-        poses = [random_pose(rng, frame_index=i) for i in range(5)]
+        poses = [random_pose(rng) for _ in range(5)]
         path = tmp_path / "cameras.csv"
         save_cameras(path, poses)
         loaded = load_cameras(path)
@@ -232,8 +231,10 @@ class TestCameraCsv:
         for a, b in zip(poses, loaded):
             np.testing.assert_array_equal(a.rotation, b.rotation)
             np.testing.assert_array_equal(a.translation, b.translation)
-            assert (a.fx, a.fy, a.cx, a.cy, a.frame_index) == (
-                b.fx, b.fy, b.cx, b.cy, b.frame_index)
+            assert (a.fx, a.fy, a.cx, a.cy) == (b.fx, b.fy, b.cx, b.cy)
+        # The t column holds each row's position, the frame index.
+        with open(path, newline="") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == [str(t) for t in range(5)]
 
     def test_header_shape(self, tmp_path):
         path = tmp_path / "cameras.csv"

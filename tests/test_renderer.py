@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -201,7 +202,7 @@ class TestRenderRay:
         params = transparent_params(cfg)
         pose = look_at((0.9, 0.0, 0.0), (0, 0, 0), fx=8, fy=8, cx=3.5, cy=3.5)
         ray = ray_through_pixel(pose, (3.5, 3.5))
-        out = render_ray(params, ray, pose, n_samples=16)
+        out = render_ray(params, ray, pose, t=0, n_samples=16)
         np.testing.assert_allclose(out.color, 0.0, atol=1e-15)
         assert out.mask_ss == pytest.approx(0.0, abs=1e-15)
         assert out.mask_dy == pytest.approx(0.0, abs=1e-15)
@@ -294,9 +295,8 @@ class TestRenderFrame:
         cfg = small_config(frustum=type(small_config().frustum)(
             fx=2.0, fy=2.0, cx=0.5, cy=0.5, width=2, height=2))
         params = randomized_params(cfg, seed=30)
-        pose = look_at((0.8, 0.1, 0.05), (0, 0, 0), fx=2.0, fy=2.0, cx=0.5, cy=0.5,
-                       frame_index=1)
-        frame = render_frame(params, pose, n_samples=9)
+        pose = look_at((0.8, 0.1, 0.05), (0, 0, 0), fx=2.0, fy=2.0, cx=0.5, cy=0.5)
+        frame = render_frame(params, pose, t=1, n_samples=9)
         for iy in range(2):
             for ix in range(2):
                 # the single-ray sampling of render_ray, rendered by the scalar oracle
@@ -316,8 +316,8 @@ class TestRenderFrame:
         cfg = small_config(frustum=small_frustum(48))
         params = randomized_params(cfg, seed=31)
         pose = look_at((0.7, -0.2, 0.1), (0, 0, 0), fx=8, fy=8, cx=23.5, cy=23.5)
-        a = render_frame(params, pose, n_samples=12, workers=1)
-        b = render_frame(params, pose, n_samples=12, workers=3)
+        a = render_frame(params, pose, t=0, n_samples=12, workers=1)
+        b = render_frame(params, pose, t=0, n_samples=12, workers=3)
         for key in a:
             np.testing.assert_array_equal(a[key], b[key])
 
@@ -329,9 +329,9 @@ class TestRenderFrame:
         cfg = small_config(frustum=small_frustum(20))
         params = randomized_params(cfg, seed=32)
         pose = look_at((0.7, 0.2, -0.1), (0, 0, 0), fx=8, fy=8, cx=9.5, cy=9.5)
-        whole = render_frame(params, pose, n_samples=12)
+        whole = render_frame(params, pose, t=0, n_samples=12)
         monkeypatch.setattr(renderer, "RENDER_POINTS", points)
-        split = render_frame(params, pose, n_samples=12)
+        split = render_frame(params, pose, t=0, n_samples=12)
         for key in whole:
             np.testing.assert_array_equal(split[key], whole[key])
 
@@ -371,7 +371,7 @@ class TestRenderFrame:
         params = zero_params(small_config())
         pose = look_at((0.7, 0.0, 0.0), (0, 0, 0), fx=8, fy=8, cx=3.5, cy=3.5)
         with pytest.raises(DomainError):
-            render_frame(params, pose, channels=("color", "depth"))
+            render_frame(params, pose, t=0, channels=("color", "depth"))
 
 
 @pytest.mark.slow
@@ -379,8 +379,9 @@ def test_baked_scene_matches_analytic_ground_truth(bench_scene, bench_gt, bench_
     # End-to-end renderer oracle: bake the analytic benchmark scene into
     # grids at high resolution and compare full frames to the exact ray
     # tracer, including one frame on each side of the relocation.
-    fcfg = bench_dataset.field_config(
-        grid_res=56, ss_grid_res=48, dyn_grid_res=40, feat_channels=2, mix_k=2, dyn_mix_k=2
+    fcfg = dataclasses.replace(
+        bench_dataset.field_config(),
+        grid_res=56, ss_grid_res=48, dyn_grid_res=40, feat_channels=2, mix_k=2, dyn_mix_k=2,
     )
     params = bake_scene(bench_scene, fcfg)
     errs = []

@@ -81,8 +81,8 @@ def _const_cameras(n, h, w):
     fx = 0.5 * w / np.tan(np.radians(32.0))
     intr = dict(fx=fx, fy=fx, cx=(w - 1) / 2, cy=(h - 1) / 2)
     return tuple(
-        look_at((0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), frame_index=i, **intr)
-        for i in range(n)
+        look_at((0.5, 0.0, 0.0), (-0.5, 0.0, 0.0), **intr)
+        for _ in range(n)
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from layermotion import scenegen
+from layermotion import cli, scenegen
 from layermotion.dataset import dataset_from_scene
 from layermotion.errors import ConfigError, DomainError
 from layermotion.fields import init_params
@@ -77,13 +77,6 @@ class TestRefinementSet:
 
 
 class TestTrain:
-    def test_zero_epochs_is_identity(self, tiny_dataset):
-        params = init_params(tiny_dataset.field_config(), seed=0)
-        out, log = train(params, tiny_dataset, TrainConfig(**{**TINY_TRAIN, "epochs": 0}))
-        assert log == []
-        for name in params.blocks:
-            np.testing.assert_array_equal(out.blocks[name], params.blocks[name])
-
     def test_identical_seed_identical_result(self, tiny_dataset):
         params = init_params(tiny_dataset.field_config(), seed=0)
         a, _ = train(params, tiny_dataset, TrainConfig(**TINY_TRAIN))
@@ -106,19 +99,9 @@ class TestTrain:
         last = np.mean([r["l_total"] for r in log[-cfg.steps_per_epoch :]])
         assert last < first
 
-    def test_fusion_requires_pseudo_masks(self, tiny_dataset):
-        cfg = scenegen.SceneConfig(name="t", n_frames=4, height=16, width=16, seed=0)
-        scene = scenegen.generate_scene(cfg)
-        bare = dataset_from_scene(scene, scenegen.render_ground_truth(scene), None, cfg)
-        params = init_params(bare.field_config(), seed=0)
-        with pytest.raises(ConfigError):
-            train(params, bare, TrainConfig(**TINY_TRAIN))
-        out, _ = train(params, bare, TrainConfig(**{**TINY_TRAIN, "loss": LossConfig.from_names(["rgb"])}))
-        assert out is not None
-
     def test_config_validation(self):
         for bad in (
-            dict(learning_rate=0.0), dict(epochs=-1), dict(n_samples=1),
+            dict(learning_rate=0.0), dict(epochs=0), dict(epochs=-1), dict(n_samples=1),
             dict(steps_per_epoch=0), dict(steps_per_epoch=-3),
         ):
             with pytest.raises(ConfigError):
@@ -139,9 +122,12 @@ class TestTrain:
     def test_loss_defaults_have_one_source(self):
         for cfg in (TrainConfig(), RefineConfig(frames=(0,))):
             assert cfg.loss == LossConfig()
-        assert LossConfig.from_names(["rgb", " pmf", "nmf", ""]) == LossConfig()
+        # Terms are kept in LOSS_TERMS order without repeats; the CLI strips names.
+        assert LossConfig(terms=("nmf", "rgb", "pmf", "rgb")) == LossConfig()
+        args = cli.build_parser().parse_args(["train", "--workspace", "ws", "--losses", "rgb, pmf,nmf,"])
+        assert cli._settings(args)["loss"] == LossConfig()
         with pytest.raises(ConfigError):
-            LossConfig.from_names(["rgb", "bogus"])
+            LossConfig(terms=("rgb", "bogus"))
 
     def test_log_row_columns(self, tiny_dataset):
         params = init_params(tiny_dataset.field_config(), seed=0)
