@@ -223,9 +223,12 @@ def _read_meta(path: Path) -> dict:
     if not _is_int(t_total) or t_total < 1:
         raise DataError(f"{path}: n_frames must be a positive integer, got {t_total!r}")
     check_world_box(meta.get("world_lo"), meta.get("world_hi"), str(path))
-    frames = meta.get("eval_frames", [])
-    if not (isinstance(frames, list) and all(_is_int(t) and 0 <= t < t_total for t in frames)):
-        raise DataError(f"{path}: eval_frames must be frame indices in [0, {t_total})")
+    if "eval_frames" in meta:  # absent: every frame
+        frames = meta["eval_frames"]
+        if not (isinstance(frames, list) and all(_is_int(t) and 0 <= t < t_total for t in frames)):
+            raise DataError(f"{path}: eval_frames must be frame indices in [0, {t_total})")
+        if not frames or len(set(frames)) < len(frames):
+            raise DataError(f"{path}: eval_frames must be non-empty and name each frame once, got {frames}")
     return meta
 
 

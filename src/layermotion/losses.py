@@ -14,9 +14,11 @@ lambda factors live inside the fusion terms):
 
 Gradients are hand-derived end to end (quadrature, density-share mixing,
 activations, trilinear interpolation, temporal-code factors) and validated
-against central finite differences. Per-ray contributions are accumulated
-chunk by chunk in a fixed order, so results are bit-identical for any
-worker count.
+against central finite differences. Each chunk takes its rays in frame
+order (a stable sort of the batch by frame index), so a chunk holds a
+narrow run of frames and the per-call time-mix fold stays small. Per-ray
+contributions are accumulated chunk by chunk in a fixed order, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .errors import ConfigError, DomainError, NumericalError
 from .fields import BLOCK_NAMES, PARTITION, LayeredFieldParams, backward_eval_layers
 from .renderer import backward_composite, render_batch
 
-GRAD_CHUNK = 512  # rays per reduction chunk; fixed so workers cannot reorder math
+# Rays per reduction chunk, taken in frame order; fixed so workers cannot
+# reorder math.
+GRAD_CHUNK = 512
 LOSS_TERMS = ("rgb", "pmf", "nmf")
 
 
@@ -88,13 +92,14 @@ class RayBatch:
     def n_rays(self) -> int:
         return self.origins.shape[0]
 
-    def points(self, sl: slice):
+    def points(self, rows):
+        """World and camera sample points of the rays `rows` (a slice or index array)."""
         pts = (
-            self.origins[sl, None, :]
-            - self.nus[sl, None, :] * self.depths[sl, :, None]
+            self.origins[rows, None, :]
+            - self.nus[rows, None, :] * self.depths[rows, :, None]
         )
         pts_cam = (
-            np.einsum("nij,nkj->nki", self.rot[sl], pts) + self.trans[sl, None, :]
+            np.einsum("nij,nkj->nki", self.rot[rows], pts) + self.trans[rows, None, :]
         )
         return pts, pts_cam
 
@@ -131,31 +136,33 @@ def total_loss_and_gradients(
     fused = batch.mask_values >= cfg.threshold
     n_fused = int(fused.sum())
 
-    chunks = list(range(0, n, GRAD_CHUNK))
+    # Frame-ordered chunks: each one folds only the frames its rays hold.
+    order = np.argsort(batch.t_idx, kind="stable")
+    chunks = [order[i : i + GRAD_CHUNK] for i in range(0, n, GRAD_CHUNK)]
     results: list[tuple] = [None] * len(chunks)
 
     def run(ci: int) -> None:
-        sl = slice(chunks[ci], min(chunks[ci] + GRAD_CHUNK, n))
-        pts, pts_cam = batch.points(sl)
+        rows = chunks[ci]
+        pts, pts_cam = batch.points(rows)
         bundle, cache, field_cache = render_batch(
-            params, pts, pts_cam, batch.deltas[sl], batch.t_idx[sl]
+            params, pts, pts_cam, batch.deltas[rows], batch.t_idx[rows]
         )
         sums = np.zeros(3)  # per-term sums of per-ray contributions
         # Loss gradient per render channel; 0.0 where no enabled term reads it.
         d_color = d_uncertainty = d_mask_ss = d_mask_dy = 0.0
         if "rgb" in cfg.terms:
-            resid = bundle.color - batch.target_rgb[sl]
+            resid = bundle.color - batch.target_rgb[rows]
             err = np.sum(resid**2, axis=-1)
             bsq = bundle.uncertainty**2
             sums[0] = np.sum(err / (2.0 * bsq) + np.log(bsq))
             d_color = resid / bsq[:, None] / n
             d_uncertainty = (-err / bundle.uncertainty**3 + 2.0 / bundle.uncertainty) / n
         if "pmf" in cfg.terms:
-            d = bundle.mask_dy - batch.mask_values[sl]
+            d = bundle.mask_dy - batch.mask_values[rows]
             sums[1] = cfg.lambda_pmf * np.sum(d**2)
             d_mask_dy = 2.0 * cfg.lambda_pmf * d / n
         if "nmf" in cfg.terms and n_fused > 0:
-            sel = fused[sl]
+            sel = fused[rows]
             sums[2] = cfg.lambda_nmf * np.sum((bundle.mask_ss * sel) ** 2)
             d_mask_ss = 2.0 * cfg.lambda_nmf * bundle.mask_ss * sel / n_fused
         if not wrt:

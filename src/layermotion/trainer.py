@@ -10,7 +10,8 @@ round that raised it is rolled back at half the learning rate, so the
 accepted probe losses form a non-increasing sequence.
 
 Everything is deterministic given the seed; gradient reductions are
-chunk-ordered, so the worker count never changes the math.
+chunk-ordered, and each chunk takes its rays in frame order, which depends
+only on the batch, so the worker count never changes the math.
 """
 
 from __future__ import annotations

@@ -241,6 +241,22 @@ class TestFrameRange:
             assert tree_hashes(mini_ws) == before
 
 
+    def test_render_rejects_empty_or_repeated_eval_frames(self, mini_ws, tmp_path, capsys):
+        # Without --frames, render takes meta.json's eval_frames, which loading checks.
+        ws = tmp_path / "ws"
+        shutil.copytree(mini_ws, ws)
+        meta_path = ws / "dataset" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        for frames in ([], [0, 0]):
+            meta_path.write_text(json.dumps({**meta, "eval_frames": frames}))
+            before = tree_hashes(ws / "renders")
+            capsys.readouterr()
+            assert run(["render", "--workspace", ws] + TINY) == 3, frames
+            err = capsys.readouterr().err
+            assert err.startswith("bad artifact: ") and "eval_frames must be non-empty" in err
+            assert tree_hashes(ws / "renders") == before
+
+
 @pytest.mark.parametrize("sub, flag, value", [
     ("train", "--n-samples", 1),
     ("train", "--render-samples", 0),

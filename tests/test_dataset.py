@@ -88,6 +88,12 @@ class TestMeta:
         with pytest.raises(DataError, match=r"eval_frames must be frame indices in \[0, 6\)"):
             load_dataset(ds_copy)
 
+    @pytest.mark.parametrize("frames", [[], [0, 0], [1, 3, 1]])
+    def test_eval_frames_empty_or_repeated(self, ds_copy, frames):
+        edit_meta(ds_copy, eval_frames=frames)
+        with pytest.raises(DataError, match="eval_frames must be non-empty and name each frame once"):
+            load_dataset(ds_copy)
+
 
 class TestImages:
     def test_image_shape_disagrees_with_first_frame(self, ds_copy):

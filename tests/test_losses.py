@@ -1,9 +1,11 @@
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from layermotion import losses
 from layermotion.errors import ConfigError, DomainError
 from layermotion.fields import BLOCK_NAMES, PARTITION
 from layermotion.geometry import look_at
@@ -205,6 +207,20 @@ class TestTotalLossAndGradients:
         for name in g1:
             np.testing.assert_allclose(g2[name], g1[name], atol=1e-12)
 
+    def test_ray_order_across_chunks(self):
+        # Three chunks; shuffling the rays regroups them, so only rounding moves.
+        cfg = small_config()
+        params = randomized_params(cfg, seed=27)
+        batch = make_batch(cfg, n_rays=2 * GRAD_CHUNK + 8, n_samples=3, seed=28)
+        perm = np.random.default_rng(29).permutation(batch.n_rays)
+        shuffled = RayBatch(**{f.name: getattr(batch, f.name)[perm] for f in fields(RayBatch)})
+        r1, g1 = total_loss_and_gradients(params, batch, LossConfig())
+        r2, g2 = total_loss_and_gradients(params, shuffled, LossConfig())
+        assert r2.n_fused == r1.n_fused
+        assert r2.l_total == pytest.approx(r1.l_total, abs=1e-12)
+        for name in g1:
+            np.testing.assert_allclose(g2[name], g1[name], atol=1e-12)
+
     def test_pmf_gradient_ignores_static_color(self):
         cfg = small_config()
         params = randomized_params(cfg, seed=11)
@@ -255,6 +271,33 @@ class TestTotalLossAndGradients:
         assert r1.l_total == r2.l_total
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
+
+
+    def test_chunks_are_frame_grouped(self, monkeypatch):
+        cfg = small_config(n_frames=12)
+        params = randomized_params(cfg, seed=30)
+        batch = make_batch(cfg, n_rays=2 * GRAD_CHUNK + 8, n_samples=3, seed=31)
+        assert np.any(np.diff(batch.t_idx) < 0)  # the frames are interleaved
+        results = {w: total_loss_and_gradients(params, batch, LossConfig(), workers=w)
+                   for w in (1, 2)}
+        seen = []
+
+        def recording_render_batch(params, pts, pts_cam, deltas, t_idx):
+            seen.append(np.array(t_idx))
+            return render_batch(params, pts, pts_cam, deltas, t_idx)
+
+        monkeypatch.setattr(losses, "render_batch", recording_render_batch)
+        total_loss_and_gradients(params, batch, LossConfig(), workers=1)
+        assert [len(t) for t in seen] == [GRAD_CHUNK, GRAD_CHUNK, 8]
+        np.testing.assert_array_equal(np.sort(np.concatenate(seen)), np.sort(batch.t_idx))
+        for t in seen:
+            assert np.all(np.diff(t) >= 0)
+        for a, b in zip(seen, seen[1:]):
+            assert set(a) & set(b) <= {a[-1]}
+        (r1, g1), (r2, g2) = results[1], results[2]
+        assert r1 == r2
+        for name in g1:
+            assert g1[name].tobytes() == g2[name].tobytes()
 
 
 class TestGradientSubset:
