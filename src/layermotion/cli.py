@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 missing upstream artifact,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -152,11 +151,6 @@ class Workspace:
     def __init__(self, root):
         self.root = Path(root)
 
-    def dir(self, name: str) -> Path:
-        p = self.root / name
-        p.mkdir(parents=True, exist_ok=True)
-        return p
-
     @property
     def dataset_dir(self) -> Path:
         return self.root / "dataset"
@@ -166,15 +160,11 @@ class Workspace:
         return self.root / "manifest.csv"
 
     def record(self, subcommand: str, kind: str, paths) -> None:
-        new = not self.manifest_path.exists()
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.manifest_path, "a", newline="") as fh:
-            w = csv.writer(fh)
-            if new:
-                w.writerow(["subcommand", "kind", "path", "sha256"])
-            for p in paths:
-                rel = os.path.relpath(p, self.root)
-                w.writerow([subcommand, kind, rel, sha256_file(p)])
+        """Append one row per path, in one write; the first call writes the header."""
+        rows = [] if self.manifest_path.exists() else [["subcommand", "kind", "path", "sha256"]]
+        rows += [[subcommand, kind, os.path.relpath(p, self.root), sha256_file(p)] for p in paths]
+        with open(self.manifest_path, "ab") as fh:
+            fh.write(imgio.encode_csv(rows))
 
 
 def _scene_config(cfg: dict) -> SceneConfig:
@@ -240,13 +230,10 @@ def cmd_train(args) -> int:
         **_optim_settings(cfg),
     )
     params = init_params(ds.field_config(), seed=cfg["seed"])
-    log_path = ws.dir("reports") / "training_log.csv"
-    try:
-        params, log = train(params, ds, tc)
-    except NumericalError as e:
-        raise NumericalError(f"{e} (see log at {log_path})") from e
+    params, log = train(params, ds, tc)
+    log_path = ws.root / "reports" / "training_log.csv"
     _write_log(log_path, log)
-    ckpt = ws.dir("checkpoints") / "model.lmf"
+    ckpt = ws.root / "checkpoints" / "model.lmf"
     meta = {"losses": list(tc.loss.terms), "refined": False, "seed": cfg["seed"], "scene": ds.meta.get("name")}
     save_checkpoint(params, ckpt, meta)
     ws.record("train", "checkpoint", [ckpt, Path(str(ckpt) + ".json"), log_path])
@@ -257,11 +244,7 @@ def cmd_train(args) -> int:
 def _write_log(path, log_rows) -> None:
     cols = ["epoch", "step", "l_rgb", "l_pmf", "l_nmf", "l_total",
             "grad_norm_st", "grad_norm_ss", "grad_norm_dy"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in log_rows:
-            w.writerow([row[c] for c in cols])
+    imgio.write_bytes(path, imgio.encode_csv([cols] + [[row[c] for c in cols] for row in log_rows]))
 
 
 def cmd_refine(args) -> int:
@@ -280,10 +263,10 @@ def cmd_refine(args) -> int:
         learning_rate=cfg["refine_lr"],
         **_optim_settings(cfg),
     )
-    log_path = ws.dir("reports") / "refine_log.csv"
     params, log, _ = refine(params, ds, rc)
+    log_path = ws.root / "reports" / "refine_log.csv"
     _write_log(log_path, log)
-    ckpt_out = ws.dir("checkpoints") / "model_refined.lmf"
+    ckpt_out = ws.root / "checkpoints" / "model_refined.lmf"
     meta = dict(meta)
     meta.update(refined=True, refine_frames=list(frames), neighbors=rc.neighbors)
     save_checkpoint(params, ckpt_out, meta)
@@ -319,12 +302,9 @@ def _check_render_source(ws: Workspace, ckpt: Path, dumps) -> None:
     """Raise `DataError` unless `renders/source.json` names `ckpt` as it is
     now and records each of `dumps` with its current bytes."""
     path = ws.root / "renders" / "source.json"
-    try:
-        source = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as e:
-        raise DataError(f"{path}: cannot tell which checkpoint made the renders ({e})") from e
+    source = imgio.read_json(path)
     now = _render_source(ws, ckpt, dumps)
-    if not isinstance(source, dict) or any(source.get(k) != now[k] for k in ("checkpoint", "sha256")):
+    if any(source.get(k) != now[k] for k in ("checkpoint", "sha256")):
         raise DataError(f"{path}: the renders do not come from the current {now['checkpoint']}; rerun render")
     recorded = source.get("mask_dumps")
     changed = [k for k, v in now["mask_dumps"].items() if not isinstance(recorded, dict) or recorded.get(k) != v]
@@ -339,30 +319,29 @@ def cmd_render(args) -> int:
     ckpt = _pick_checkpoint(ws)
     params, meta = load_checkpoint(ckpt)
     frames = _parse_frames(cfg["frames"], ds)
-    out_dir = ws.dir("renders")
+    out_dir = ws.root / "renders"
+    # Each frame's files, in manifest order: (channel, file name, encoder).
+    # The 8-bit images clip to [0, 1]; the raw dumps keep every value.
+    files = [(key, f"{key}_{{t:04d}}.f64", imgio.write_f64)
+             for key in ("color", "mask_ss", "mask_dy", "uncertainty")]
+    files += [
+        ("color", "color_{t:04d}.ppm", imgio.write_ppm),
+        ("uncertainty", "b_{t:04d}.pgm", imgio.write_pgm),
+        ("mask_ss", "mask_ss_{t:04d}.pgm", imgio.write_pgm),
+        ("mask_dy", "mask_dy_{t:04d}.pgm", imgio.write_pgm),
+    ]
     created, dumps = [], []
     for t in frames:
         out = render_frame(
             params, ds.poses[t], t=t, n_samples=cfg["render_samples"], workers=cfg["workers"]
         )
-        paths = {
-            "color": out_dir / f"color_{t:04d}.ppm",
-            "uncertainty": out_dir / f"b_{t:04d}.pgm",
-            "mask_ss": out_dir / f"mask_ss_{t:04d}.pgm",
-            "mask_dy": out_dir / f"mask_dy_{t:04d}.pgm",
-        }
-        imgio.write_ppm(paths["color"], out["color"])
-        imgio.write_pgm(paths["uncertainty"], np.clip(out["uncertainty"], 0.0, 1.0))
-        imgio.write_pgm(paths["mask_ss"], out["mask_ss"])
-        imgio.write_pgm(paths["mask_dy"], out["mask_dy"])
-        for key in ("color", "mask_ss", "mask_dy", "uncertainty"):
-            raw = out_dir / f"{key}_{t:04d}.f64"
-            imgio.write_f64(raw, out[key])
-            created.append(raw)
+        for key, name, write in files:
+            created.append(out_dir / name.format(t=t))
+            write(created[-1], out[key])
         dumps += _mask_dumps(out_dir, t)
-        created.extend(paths.values())
     source = out_dir / "source.json"
-    source.write_text(json.dumps(_render_source(ws, ckpt, dumps), indent=1, sort_keys=True) + "\n")
+    text = json.dumps(_render_source(ws, ckpt, dumps), indent=1, sort_keys=True) + "\n"
+    imgio.write_bytes(source, text.encode("utf-8"))
     created.append(source)
     ws.record("render", "render", created)
     print(f"rendered {len(frames)} frames -> {out_dir}")
@@ -425,23 +404,20 @@ def cmd_eval(args) -> int:
             params, ds, frames, label=label or _label(meta),
             n_samples=cfg["render_samples"], workers=cfg["workers"],
         )
-    out_dir = ws.dir("reports")
+    out_dir = ws.root / "reports"
     # A loaded dataset always has pseudo-labels; score their quality too.
     quality_path = out_dir / "pseudo_curves.csv"
-    with open(quality_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "precision", "recall", "fpr", "fnr"])
-        for row in analyze_pseudo_masks(ds.pseudo, ds.mask_dyn):
-            w.writerow([f"{row[k]:.6f}" for k in ("threshold", "precision", "recall", "fpr", "fnr")])
+    cols = ["threshold", "precision", "recall", "fpr", "fnr"]
+    rows = [[f"{row[k]:.6f}" for k in cols] for row in analyze_pseudo_masks(ds.pseudo, ds.mask_dyn)]
+    imgio.write_bytes(quality_path, imgio.encode_csv([cols] + rows))
     csv_path = out_dir / "eval.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "category", "frame", "ap", "kind"])
-        for row in report.as_rows():
-            w.writerow([report.label, row["category"], row["frame"], f"{row['ap']:.6f}", row["kind"]])
+    rows = [["label", "category", "frame", "ap", "kind"]] + [
+        [report.label, row["category"], row["frame"], f"{row['ap']:.6f}", row["kind"]] for row in report.as_rows()
+    ]
+    imgio.write_bytes(csv_path, imgio.encode_csv(rows))
     table = report.summary_table()
     summary_path = out_dir / "summary.txt"
-    summary_path.write_text(table + "\n")
+    imgio.write_bytes(summary_path, (table + "\n").encode("utf-8"))
     ws.record("eval", "report", [csv_path, summary_path, quality_path])
     print(table)
     return 0

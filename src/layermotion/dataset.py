@@ -7,13 +7,11 @@ Disk layout under a dataset directory:
     masks/ss_0000.pgm          binary semi-static ground truth
     pseudo/pseudo_0000.pgm     soft pseudo-labels, linear 0-255
     cameras.csv                trajectory (see geometry.save_cameras)
-    manifest.csv               per-frame artifact paths
     meta.json                  scene name, sizes, world box, eval protocol
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +25,16 @@ from .geometry import CameraPose, camera_rays, load_cameras, save_cameras
 from .losses import RayBatch
 from .renderer import sample_depths
 from .scenegen import GroundTruth, SceneConfig, SceneSpec
+
+
+# Each frame's files, in write order: (Dataset field, path under the dataset
+# root). The suffix picks the codec; masks are written as 0/1 images.
+_FRAME_FILES = (
+    ("rgb", "frames/frame_{t:04d}.ppm"),
+    ("mask_dyn", "masks/dyn_{t:04d}.pgm"),
+    ("mask_ss", "masks/ss_{t:04d}.pgm"),
+    ("pseudo", "pseudo/pseudo_{t:04d}.pgm"),
+)
 
 
 @dataclass
@@ -173,36 +181,24 @@ def write_dataset(
 ) -> list[Path]:
     """Write the full dataset tree; returns the created file paths."""
     root = Path(root)
+    images = {
+        "rgb": gt.rgb,
+        "mask_dyn": gt.mask_dyn.astype(np.float64),
+        "mask_ss": gt.mask_ss.astype(np.float64),
+        "pseudo": pseudo,
+    }
     created: list[Path] = []
-    for sub in ("frames", "masks", "pseudo"):
-        (root / sub).mkdir(parents=True, exist_ok=True)
-    rows = []
     for t in range(scene.n_frames):
-        paths = {
-            "frame": root / "frames" / f"frame_{t:04d}.ppm",
-            "mask_dyn": root / "masks" / f"dyn_{t:04d}.pgm",
-            "mask_ss": root / "masks" / f"ss_{t:04d}.pgm",
-            "pseudo": root / "pseudo" / f"pseudo_{t:04d}.pgm",
-        }
-        imgio.write_ppm(paths["frame"], gt.rgb[t])
-        imgio.write_pgm(paths["mask_dyn"], gt.mask_dyn[t].astype(np.float64))
-        imgio.write_pgm(paths["mask_ss"], gt.mask_ss[t].astype(np.float64))
-        imgio.write_pgm(paths["pseudo"], pseudo[t])
-        created.extend(paths.values())
-        rows.append([t] + [str(p.relative_to(root)) for p in paths.values()])
+        for key, name in _FRAME_FILES:
+            path = root / name.format(t=t)
+            write = imgio.write_ppm if path.suffix == ".ppm" else imgio.write_pgm
+            write(path, images[key][t])
+            created.append(path)
     cam_path = root / "cameras.csv"
     save_cameras(cam_path, scene.cameras)
-    created.append(cam_path)
-    manifest = root / "manifest.csv"
-    with open(manifest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "frame", "mask_dyn", "mask_ss", "pseudo"])
-        w.writerows(rows)
-    created.append(manifest)
     meta_path = root / "meta.json"
-    meta_path.write_text(json.dumps(_meta(scene, config), indent=1, sort_keys=True))
-    created.append(meta_path)
-    return created
+    imgio.write_bytes(meta_path, json.dumps(_meta(scene, config), indent=1, sort_keys=True).encode("utf-8"))
+    return created + [cam_path, meta_path]
 
 
 def _is_int(v) -> bool:
@@ -213,12 +209,7 @@ def _read_meta(path: Path) -> dict:
     """meta.json, checked for every key that loading and ray building read."""
     if not path.exists():
         raise MissingArtifactError(f"dataset meta not found: {path}")
-    try:
-        meta = json.loads(path.read_bytes())
-    except ValueError as e:
-        raise DataError(f"{path}: not valid JSON") from e
-    if not isinstance(meta, dict):
-        raise DataError(f"{path}: expected a JSON object")
+    meta = imgio.read_json(path)
     t_total = meta.get("n_frames")
     if not _is_int(t_total) or t_total < 1:
         raise DataError(f"{path}: n_frames must be a positive integer, got {t_total!r}")
@@ -236,34 +227,27 @@ def load_dataset(root) -> Dataset:
     """Read a dataset tree; malformed files raise DataError, absent ones MissingArtifactError."""
     root = Path(root)
     meta = _read_meta(root / "meta.json")
-    rgb = []
-    mask_dyn = []
-    mask_ss = []
-    pseudo = []
+    images: dict[str, list] = {key: [] for key, _ in _FRAME_FILES}
     shape = None  # (H, W) of the first frame; every image must match it
     for t in range(meta["n_frames"]):
-        for kind, store in (
-            (root / "frames" / f"frame_{t:04d}.ppm", rgb),
-            (root / "masks" / f"dyn_{t:04d}.pgm", mask_dyn),
-            (root / "masks" / f"ss_{t:04d}.pgm", mask_ss),
-            (root / "pseudo" / f"pseudo_{t:04d}.pgm", pseudo),
-        ):
-            if not kind.exists():
-                raise MissingArtifactError(f"dataset file not found: {kind}")
-            img = imgio.read_ppm(kind) if kind.suffix == ".ppm" else imgio.read_pgm(kind)
+        for key, name in _FRAME_FILES:
+            path = root / name.format(t=t)
+            if not path.exists():
+                raise MissingArtifactError(f"dataset file not found: {path}")
+            img = imgio.read_ppm(path) if path.suffix == ".ppm" else imgio.read_pgm(path)
             shape = shape or img.shape[:2]
             if img.shape[:2] != shape:
                 raise DataError(
-                    f"{kind}: image is {img.shape[1]}x{img.shape[0]}, "
+                    f"{path}: image is {img.shape[1]}x{img.shape[0]}, "
                     f"the first frame is {shape[1]}x{shape[0]}"
                 )
-            store.append(img)
+            images[key].append(img)
     poses = load_cameras(root / "cameras.csv")
     return Dataset(
-        rgb=np.stack(rgb),
-        mask_dyn=np.stack(mask_dyn) >= 0.5,
-        mask_ss=np.stack(mask_ss) >= 0.5,
-        pseudo=np.stack(pseudo),
+        rgb=np.stack(images["rgb"]),
+        mask_dyn=np.stack(images["mask_dyn"]) >= 0.5,
+        mask_ss=np.stack(images["mask_ss"]) >= 0.5,
+        pseudo=np.stack(images["pseudo"]),
         poses=poses,
         meta=meta,
     )

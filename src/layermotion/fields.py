@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import imgio
 from .errors import ConfigError, DataError, DomainError, NumericalError
 
 # Block name -> partition. `phi0` is shared by the static and semi-static
@@ -528,22 +529,22 @@ def save_checkpoint(params: LayeredFieldParams, path, meta: dict | None = None) 
 
     Hyperparameters and run metadata go to a JSON sidecar at `path + '.json'`.
     """
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(BLOCK_NAMES)))
-        for name in BLOCK_NAMES:
-            arr = params.blocks[name]
-            nb = name.encode("ascii")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    parts = [_MAGIC, struct.pack("<I", len(BLOCK_NAMES))]
+    for name in BLOCK_NAMES:
+        arr = params.blocks[name]
+        nb = name.encode("ascii")
+        parts += [
+            struct.pack("<H", len(nb)),
+            nb,
+            struct.pack("<B", arr.ndim),
+            struct.pack(f"<{arr.ndim}I", *arr.shape),
+            np.ascontiguousarray(arr, dtype="<f8").tobytes(),
+        ]
+    imgio.write_bytes(path, b"".join(parts))
     cfg = asdict(params.config)
     cfg["frustum"] = asdict(params.config.frustum)
     sidecar = {"format": "LMF1", "config": cfg, "meta": meta or {}}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=1, sort_keys=True))
+    imgio.write_bytes(str(path) + ".json", json.dumps(sidecar, indent=1, sort_keys=True).encode("utf-8"))
 
 
 def _checked_keys(d, cls, where: str) -> dict:
@@ -588,13 +589,8 @@ def read_sidecar(path) -> tuple[FieldConfig, dict]:
     values it rejects) raises `DataError`.
     """
     sidecar_path = Path(str(path) + ".json")
-    if not sidecar_path.exists():
-        raise DataError(f"checkpoint sidecar not found: {sidecar_path}")
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-    except ValueError as e:
-        raise DataError(f"{sidecar_path}: not valid JSON ({e})") from e
-    if not isinstance(sidecar, dict) or "config" not in sidecar:
+    sidecar = imgio.read_json(sidecar_path)
+    if "config" not in sidecar:
         raise DataError(f"{sidecar_path}: no 'config' entry")
     meta = sidecar.get("meta", {})
     if not isinstance(meta, dict):

@@ -18,6 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import imgio
 from .errors import DataError, DomainError
 
 ORTHO_TOL = 1e-9
@@ -208,17 +209,14 @@ def save_cameras(path, poses: Iterable[CameraPose]) -> None:
 
     Row t is the camera of frame t; the t column holds that position.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_HEADER)
-        for t, p in enumerate(poses):
-            row = (
-                [t]
-                + [f"{v:.17g}" for v in p.rotation.ravel()]
-                + [f"{v:.17g}" for v in p.translation]
-                + [f"{v:.17g}" for v in (p.fx, p.fy, p.cx, p.cy)]
-            )
-            w.writerow(row)
+    rows = [_CSV_HEADER] + [
+        [t]
+        + [f"{v:.17g}" for v in p.rotation.ravel()]
+        + [f"{v:.17g}" for v in p.translation]
+        + [f"{v:.17g}" for v in (p.fx, p.fy, p.cx, p.cy)]
+        for t, p in enumerate(poses)
+    ]
+    imgio.write_bytes(path, imgio.encode_csv(rows))
 
 
 def load_cameras(path) -> list[CameraPose]:

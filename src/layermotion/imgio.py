@@ -1,12 +1,21 @@
-"""Binary PPM/PGM image I/O and raw float64 channel dumps.
+"""The one file writer, and one codec per on-disk format.
 
-All 8-bit images use the linear mapping byte = round(255 * clip(v, 0, 1));
-readers invert it as v = byte / 255. Raw dumps are little-endian float64 in
-C order with no header (shape comes from the caller).
+`write_bytes(path, data)` writes every file: it creates the parent
+directory, writes a temporary sibling and `os.replace`s it into place, so a
+reader never sees a partial file. It does not fsync. The codecs on top of it:
+PPM (P6) and PGM (P5) images map byte = round(255 * clip(v, 0, 1)), and
+readers invert it as v = byte / 255; raw dumps are little-endian float64 in
+C order with no header (the caller knows the shape); `encode_csv` writes
+rows with "\r\n" line ends; `read_json` reads one JSON object. Text is
+UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +23,49 @@ import numpy as np
 from .errors import DataError
 
 
+def write_bytes(path, data: bytes) -> None:
+    """Write `data` to `path` whole, or leave `path` as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def encode_csv(rows) -> bytes:
+    """Rows as CSV bytes, the header first, each row ended by "\\r\\n"."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def read_json(path) -> dict:
+    """The JSON object in `path`. A file that cannot be read, is not valid
+    JSON or holds anything but an object raises `DataError`."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_bytes())
+    except OSError as e:
+        raise DataError(f"{path}: cannot read ({e.strerror})") from e
+    except ValueError as e:
+        raise DataError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return doc
+
+
 def _to_u8(arr: np.ndarray) -> np.ndarray:
     return np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
+def _encode_pnm(magic: str, img: np.ndarray) -> bytes:
+    h, w = img.shape[:2]
+    return f"{magic}\n{w} {h}\n255\n".encode("ascii") + _to_u8(img).tobytes()
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:
@@ -23,10 +73,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DataError(f"PPM payload must be (H, W, 3), got {rgb.shape}")
-    h, w, _ = rgb.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_to_u8(rgb).tobytes())
+    write_bytes(path, _encode_pnm("P6", rgb))
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -34,10 +81,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
     gray = np.asarray(gray)
     if gray.ndim != 2:
         raise DataError(f"PGM payload must be (H, W), got {gray.shape}")
-    h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_to_u8(gray).tobytes())
+    write_bytes(path, _encode_pnm("P5", gray))
 
 
 def _read_pnm(path, magic: bytes) -> np.ndarray:
@@ -86,8 +130,7 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_f64(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_bytes(path, np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_f64(path, shape) -> np.ndarray:

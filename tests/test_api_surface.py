@@ -126,3 +126,74 @@ def test_cli_flags_and_config_keys_are_one_set(tmp_path):
     parsed = cli.read_config_file(cfg)
     assert set(parsed) == set(flags)
     assert all(type(parsed[k]) is flags[k].type for k in flags)
+
+
+# The only places a file is opened for writing: the atomic writer and the
+# manifest append. Every other write goes through `imgio.write_bytes`.
+WRITERS = {("imgio", "write_bytes"), ("cli", "Workspace.record")}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    if name in ("write_text", "tofile"):
+        return True
+    if name == "write_bytes":
+        # `imgio.write_bytes(...)` is the writer itself; `Path.write_bytes` is not.
+        return isinstance(func, ast.Attribute) and not (
+            isinstance(func.value, ast.Name) and func.value.id == "imgio"
+        )
+    if name != "open":
+        return False
+    # builtins.open(path, mode) and Path.open(mode); a mode that is not a
+    # string literal counts as a write.
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+def _calls_by_function(tree):
+    """(qualified name of the enclosing function or '', call node) for every call."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                yield scope, child
+            yield from walk(child, inner)
+
+    yield from walk(tree, "")
+
+
+def test_one_writer_for_every_file():
+    writes, csv_writers = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope, call in _calls_by_function(tree):
+            if _opens_for_writing(call) and (path.stem, scope) not in WRITERS:
+                writes.append(f"{path.stem}:{call.lineno} in {scope or '<module>'}")
+        csv_writers += sum(
+            isinstance(n, ast.Attribute) and n.attr == "writer"
+            and isinstance(n.value, ast.Name) and n.value.id == "csv"
+            for n in ast.walk(tree)
+        )
+    assert writes == []
+    assert csv_writers == 1
+
+
+def test_the_writer_scan_sees_writes():
+    def flagged(src):
+        return [_opens_for_writing(c) for _, c in _calls_by_function(ast.parse(src))]
+
+    assert flagged("open(p, 'wb')\nopen(p)\nopen(p, mode='a')\nopen(p, 'rb')") == [True, False, True, False]
+    assert flagged("p.write_text(s)\np.write_bytes(b)\nimgio.write_bytes(p, b)\na.tofile(p)") == [
+        True, True, False, True,
+    ]
+    assert flagged("p.open('w')\np.open()\nopen(p, m)") == [True, False, True]
+    scopes = [s for s, _ in _calls_by_function(ast.parse("class A:\n    def f(self):\n        g()\nh()"))]
+    assert scopes == ["A.f", ""]

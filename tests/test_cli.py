@@ -48,7 +48,6 @@ class TestGenerate:
         assert len(list((d / "masks").glob("*.pgm"))) == 120
         assert len(list((d / "pseudo").glob("*.pgm"))) == 60
         assert (d / "cameras.csv").exists()
-        assert (d / "manifest.csv").exists()
 
     def test_rerun_same_seed_identical_checksums(self, tmp_path):
         a = tmp_path / "a"
@@ -409,14 +408,22 @@ def test_numerical_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     from layermotion.errors import NumericalError
 
     ws = tmp_path / "ws"
-    assert run(["generate", "--workspace", ws, "--scene", "mini:6x24x24"]) == 0
+    assert run(["generate", "--workspace", ws] + TINY) == 0
+    assert run(["train", "--workspace", ws] + TINY) == 0
+    log = ws / "reports" / "training_log.csv"
+    before = log.read_bytes()
 
     def exploding_train(params, dataset, cfg):
         raise NumericalError("non-finite training loss")
 
     monkeypatch.setattr(cli_mod, "train", exploding_train)
+    capsys.readouterr()
     assert run(["train", "--workspace", ws] + TINY) == 4
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    # The failed run wrote no log, so stderr must not point at the earlier one.
+    assert "training_log.csv" not in err
+    assert log.read_bytes() == before
 
 
 class TestPipeline:
@@ -438,15 +445,42 @@ class TestPipeline:
         assert report[0] == "label,category,frame,ap,kind"
         assert any(",summary" in line for line in report[1:])
 
-    def test_external_pgm_predictions_share_format(self, tmp_path, capsys):
+    def test_external_pgm_predictions_share_format(self, mini_ws, tmp_path, capsys):
         ws = tmp_path / "ws"
-        base = ["--workspace", ws, "--seed", 1] + TINY
-        assert run(["generate"] + base) == 0
+        shutil.copytree(mini_ws, ws)
+        base = ["--workspace", ws] + TINY
         code = run(["eval"] + base + ["--pred-dir", ws / "dataset" / "pseudo",
                                       "--label", "external-2d"])
         assert code == 0
         out = capsys.readouterr().out
         assert "external-2d" in out and "Dyn+SS" in out
+
+        def scores(pred_dir):
+            capsys.readouterr()
+            assert run(["eval"] + base + ["--pred-dir", pred_dir]) == 0
+            return (ws / "reports" / "eval.csv").read_text()
+
+        # mask_dy/mask_ss pairs, as `lmf render` writes them.
+        pairs = scores(ws / "renders")
+        assert pairs != scores(ws / "dataset" / "pseudo")
+        # Only mask_dy: the semi-static layer is scored as zeros, as for pseudo_*.pgm.
+        dy_only, as_pseudo = tmp_path / "dy_only", tmp_path / "as_pseudo"
+        dy_only.mkdir()
+        as_pseudo.mkdir()
+        for p in (ws / "renders").glob("mask_dy_*.pgm"):
+            shutil.copy(p, dy_only / p.name)
+            shutil.copy(p, as_pseudo / p.name.replace("mask_dy", "pseudo"))
+        assert scores(dy_only) == scores(as_pseudo) != pairs
+
+        def dyn_rows(text):
+            return [line for line in text.splitlines() if line.split(",")[1] == "dyn"]
+
+        assert dyn_rows(scores(dy_only)) == dyn_rows(pairs)
+        # A frame with no prediction is a missing artifact.
+        next(dy_only.glob("mask_dy_*.pgm")).unlink()
+        capsys.readouterr()
+        assert run(["eval"] + base + ["--pred-dir", dy_only]) == 3
+        assert "prediction for frame" in capsys.readouterr().err
 
     def test_manifest_records_artifacts(self, tmp_path):
         ws = tmp_path / "ws"

@@ -88,3 +88,26 @@ def test_f64_shape_mismatch(tmp_path):
     imgio.write_f64(path, np.zeros(3))
     with pytest.raises(DataError):
         imgio.read_f64(path, (4,))
+
+
+def test_write_bytes_creates_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "x.bin"
+    imgio.write_bytes(path, b"abc")
+    assert path.read_bytes() == b"abc"
+    assert [p.name for p in path.parent.iterdir()] == ["x.bin"]
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "x.pgm"
+    imgio.write_pgm(path, np.zeros((2, 2)))
+    old = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(imgio.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        imgio.write_pgm(path, np.ones((2, 2)))
+    assert path.read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
+
