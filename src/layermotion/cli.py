@@ -26,7 +26,7 @@ from . import imgio
 from .dataset import Dataset, load_dataset, write_dataset
 from .errors import ConfigError, DataError, EngineError, MissingArtifactError, NumericalError
 from .evalkit import analyze_pseudo_masks, evaluate, evaluate_params
-from .fields import init_params, load_checkpoint, read_sidecar, save_checkpoint
+from .fields import init_params, load_checkpoint, save_checkpoint
 from .losses import LOSS_TERMS, LossConfig
 from .renderer import RENDER_SAMPLES, render_frame
 from .scenegen import (
@@ -72,7 +72,7 @@ def read_config_file(path) -> dict:
     if not path.exists():
         raise MissingArtifactError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = imgio.read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
     out = {}
@@ -140,9 +140,7 @@ def _parse_frames(text: str | None, ds: Dataset) -> tuple[int, ...]:
 
 
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(imgio.read_bytes(path)).hexdigest()
 
 
 class Workspace:
@@ -236,7 +234,7 @@ def cmd_train(args) -> int:
     ckpt = ws.root / "checkpoints" / "model.lmf"
     meta = {"losses": list(tc.loss.terms), "refined": False, "seed": cfg["seed"], "scene": ds.meta.get("name")}
     save_checkpoint(params, ckpt, meta)
-    ws.record("train", "checkpoint", [ckpt, Path(str(ckpt) + ".json"), log_path])
+    ws.record("train", "checkpoint", [ckpt, log_path])
     print(f"trained {tc.epochs} epochs ({len(log)} steps) -> {ckpt}")
     return 0
 
@@ -254,7 +252,8 @@ def cmd_refine(args) -> int:
     ckpt_in = ws.root / "checkpoints" / "model.lmf"
     if not ckpt_in.exists():
         raise MissingArtifactError(f"checkpoint not found: {ckpt_in} (run train first)")
-    params, meta = load_checkpoint(ckpt_in)
+    model_sha256 = sha256_file(ckpt_in)
+    params, meta = _load_checkpoint(ckpt_in, ds)
     frames = _parse_frames(cfg["frames"], ds)
     rc = RefineConfig(
         frames=frames,
@@ -267,20 +266,35 @@ def cmd_refine(args) -> int:
     log_path = ws.root / "reports" / "refine_log.csv"
     _write_log(log_path, log)
     ckpt_out = ws.root / "checkpoints" / "model_refined.lmf"
-    meta = dict(meta)
-    meta.update(refined=True, refine_frames=list(frames), neighbors=rc.neighbors)
+    meta.update(refined=True, refine_frames=list(frames), neighbors=rc.neighbors, model_sha256=model_sha256)
     save_checkpoint(params, ckpt_out, meta)
-    ws.record("refine", "checkpoint", [ckpt_out, Path(str(ckpt_out) + ".json"), log_path])
+    ws.record("refine", "checkpoint", [ckpt_out, log_path])
     print(f"refined on frames {list(frames)} (N={rc.neighbors}) -> {ckpt_out}")
     return 0
 
 
-def _pick_checkpoint(ws: Workspace) -> Path:
-    for name in ("model_refined.lmf", "model.lmf"):
-        p = ws.root / "checkpoints" / name
-        if p.exists():
-            return p
-    raise MissingArtifactError(f"no checkpoint under {ws.root / 'checkpoints'} (run train first)")
+def _load_checkpoint(path: Path, ds: Dataset):
+    """The checkpoint at `path` as (params, meta); a field config other than
+    the one `ds` implies (another frame count, image size or camera) raises
+    `DataError`."""
+    params, meta = load_checkpoint(path)
+    if params.config != ds.field_config():
+        raise DataError(f"{path}: its field config differs from the dataset's; retrain on this dataset")
+    return params, meta
+
+
+def _pick_checkpoint(ws: Workspace, ds: Dataset):
+    """The checkpoint render and eval use, as (path, params, meta):
+    model_refined.lmf when it exists, else model.lmf. A refined checkpoint
+    whose recorded model.lmf digest is not the current file's raises `DataError`."""
+    model, refined = ws.root / "checkpoints" / "model.lmf", ws.root / "checkpoints" / "model_refined.lmf"
+    path = refined if refined.exists() else model
+    if not path.exists():
+        raise MissingArtifactError(f"no checkpoint under {path.parent} (run train first)")
+    params, meta = _load_checkpoint(path, ds)
+    if path == refined and meta.get("model_sha256") != sha256_file(model):
+        raise DataError(f"{refined}: refined from another {model.name} than the current one; rerun refine")
+    return path, params, meta
 
 
 def _mask_dumps(render_dir: Path, t: int) -> list[Path]:
@@ -316,8 +330,7 @@ def cmd_render(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
     ds = load_dataset(ws.dataset_dir)
-    ckpt = _pick_checkpoint(ws)
-    params, meta = load_checkpoint(ckpt)
+    ckpt, params, _ = _pick_checkpoint(ws, ds)
     frames = _parse_frames(cfg["frames"], ds)
     out_dir = ws.root / "renders"
     # Each frame's files, in manifest order: (channel, file name, encoder).
@@ -392,14 +405,13 @@ def cmd_eval(args) -> int:
         preds = _predictions_from_pgm_dir(Path(args.pred_dir), frames, (ds.height, ds.width))
         report = evaluate(preds, ds, frames, label=label or "external")
     elif all(p.exists() for pair in dumps.values() for p in pair):
-        ckpt = _pick_checkpoint(ws)
+        ckpt, _, meta = _pick_checkpoint(ws, ds)
         _check_render_source(ws, ckpt, [p for pair in dumps.values() for p in pair])
         shape = (ds.height, ds.width)
         preds = {t: tuple(_read_mask_dump(p, shape) for p in pair) for t, pair in dumps.items()}
-        label = label or _label(read_sidecar(ckpt)[1])
-        report = evaluate(preds, ds, frames, label=label)
+        report = evaluate(preds, ds, frames, label=label or _label(meta))
     else:
-        params, meta = load_checkpoint(_pick_checkpoint(ws))
+        _, params, meta = _pick_checkpoint(ws, ds)
         report = evaluate_params(
             params, ds, frames, label=label or _label(meta),
             n_samples=cfg["render_samples"], workers=cfg["workers"],

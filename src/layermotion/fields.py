@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
+from itertools import zip_longest
 
 import numpy as np
 
@@ -521,30 +520,24 @@ def backward_eval_layers(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"LMF1"
+_MAGIC = b"LMF2"
 
 
 def save_checkpoint(params: LayeredFieldParams, path, meta: dict | None = None) -> None:
-    """Binary container: magic 'LMF1', little-endian block headers, raw float64.
-
-    Hyperparameters and run metadata go to a JSON sidecar at `path + '.json'`.
+    """One file, written whole: the magic 'LMF2', the little-endian u32 length
+    of a sorted-key UTF-8 JSON header {"blocks": [[name, shape], ...],
+    "config": ..., "meta": ...}, then every block as raw little-endian float64
+    in BLOCK_NAMES order.
     """
-    parts = [_MAGIC, struct.pack("<I", len(BLOCK_NAMES))]
-    for name in BLOCK_NAMES:
-        arr = params.blocks[name]
-        nb = name.encode("ascii")
-        parts += [
-            struct.pack("<H", len(nb)),
-            nb,
-            struct.pack("<B", arr.ndim),
-            struct.pack(f"<{arr.ndim}I", *arr.shape),
-            np.ascontiguousarray(arr, dtype="<f8").tobytes(),
-        ]
+    header = {
+        "blocks": [[name, list(params.blocks[name].shape)] for name in BLOCK_NAMES],
+        "config": asdict(params.config),
+        "meta": meta or {},
+    }
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [_MAGIC, len(head).to_bytes(4, "little"), head]
+    parts += [np.ascontiguousarray(params.blocks[name], dtype="<f8").tobytes() for name in BLOCK_NAMES]
     imgio.write_bytes(path, b"".join(parts))
-    cfg = asdict(params.config)
-    cfg["frustum"] = asdict(params.config.frustum)
-    sidecar = {"format": "LMF1", "config": cfg, "meta": meta or {}}
-    imgio.write_bytes(str(path) + ".json", json.dumps(sidecar, indent=1, sort_keys=True).encode("utf-8"))
 
 
 def _checked_keys(d, cls, where: str) -> dict:
@@ -581,85 +574,52 @@ def check_world_box(lo, hi, where: str) -> tuple[tuple, tuple]:
     return tuple(lo), tuple(hi)
 
 
-def read_sidecar(path) -> tuple[FieldConfig, dict]:
-    """The validated JSON sidecar of the checkpoint at `path`: (config, meta).
-
-    Every defect (no file, invalid JSON, no `config`, config keys other
-    than the fields of :class:`FieldConfig`, a malformed world box, or
-    values it rejects) raises `DataError`.
-    """
-    sidecar_path = Path(str(path) + ".json")
-    sidecar = imgio.read_json(sidecar_path)
-    if "config" not in sidecar:
-        raise DataError(f"{sidecar_path}: no 'config' entry")
-    meta = sidecar.get("meta", {})
-    if not isinstance(meta, dict):
-        raise DataError(f"{sidecar_path}: 'meta' is not a JSON object")
-    cfg_d = _checked_keys(sidecar["config"], FieldConfig, f"{sidecar_path}: config")
-    cfg_d["world_lo"], cfg_d["world_hi"] = check_world_box(
-        cfg_d["world_lo"], cfg_d["world_hi"], f"{sidecar_path}: config"
-    )
-    try:
-        cfg_d["frustum"] = FrustumSpec(
-            **_checked_keys(cfg_d["frustum"], FrustumSpec, f"{sidecar_path}: frustum")
-        )
-        return FieldConfig(**cfg_d), meta
-    except (ConfigError, TypeError, ValueError) as e:
-        raise DataError(f"{sidecar_path}: bad config ({e})") from e
-
-
 def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; returns (params, meta).
 
-    The blocks must be exactly BLOCK_NAMES, each with the shape the
-    sidecar's config implies. Each block header is checked as soon as it is
-    read, before its data; any mismatch raises `DataError`.
+    Checks, in order: the magic, the header length, the header JSON, the
+    config (exactly the fields of :class:`FieldConfig`, a valid world box,
+    values it accepts), the header's block list against the shapes the config
+    implies, and the byte count. Any defect raises `DataError`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
-    config, meta = read_sidecar(path)
-    expected = block_shapes(config)
-    blocks: dict[str, np.ndarray] = {}
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-
-        def need(n: int, what: str) -> None:
-            # Checked against the file size before every read, so a corrupt
-            # shape can never make us allocate more than the file holds.
-            if n > size - fh.tell():
-                raise DataError(f"{path}: truncated checkpoint, {what} is cut short")
-
-        def read(n: int, what: str) -> bytes:
-            need(n, what)
-            return fh.read(n)
-
-        if read(4, "the magic") != _MAGIC:
-            raise DataError(f"{path}: bad magic, not an LMF1 checkpoint")
-        (n_blocks,) = struct.unpack("<I", read(4, "the block count"))
-        for _ in range(n_blocks):
-            (name_len,) = struct.unpack("<H", read(2, "a block name length"))
-            raw_name = read(name_len, "a block name")
-            if not raw_name.isascii():
-                raise DataError(f"{path}: block name {raw_name!r} is not ASCII")
-            name = raw_name.decode("ascii")
-            if name not in expected:
-                raise DataError(f"{path}: unexpected blocks {[name]}")
-            if name in blocks:
-                raise DataError(f"{path}: block '{name}' appears twice")
-            (ndim,) = struct.unpack("<B", read(1, f"the rank of '{name}'"))
-            shape = struct.unpack(f"<{ndim}I", read(4 * ndim, f"the shape of '{name}'"))
-            n_bytes = 8 * math.prod(shape)
-            need(n_bytes, f"the data of '{name}'")
-            if shape != expected[name]:
-                raise DataError(
-                    f"{path}: block '{name}' has shape {shape}, "
-                    f"the sidecar config implies {expected[name]}"
-                )
-            data = fh.read(n_bytes)
-            blocks[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after the last block")
-    if len(blocks) != len(expected):
-        raise DataError(f"{path}: missing blocks {sorted(set(expected) - set(blocks))}")
-    return LayeredFieldParams(config, blocks), meta
+    data = imgio.read_bytes(path)
+    if data[:4] != _MAGIC[: len(data)]:
+        raise DataError(f"{path}: bad magic, not an LMF2 checkpoint")
+    n = int.from_bytes(data[4:8], "little")
+    if len(data) < 8 + n:
+        raise DataError(f"{path}: truncated checkpoint, the header is cut short")
+    try:
+        header = json.loads(data[8 : 8 + n])
+    except ValueError as e:
+        raise DataError(f"{path}: header is not valid JSON ({e})") from e
+    if not isinstance(header, dict) or set(header) != {"blocks", "config", "meta"}:
+        raise DataError(f"{path}: the header must be a JSON object of blocks, config and meta")
+    if not (isinstance(header["blocks"], list) and isinstance(header["meta"], dict)):
+        raise DataError(f"{path}: the header's blocks must be a JSON list and its meta an object")
+    where = f"{path}: config"
+    cfg_d = _checked_keys(header["config"], FieldConfig, where)
+    cfg_d["world_lo"], cfg_d["world_hi"] = check_world_box(cfg_d["world_lo"], cfg_d["world_hi"], where)
+    try:
+        cfg_d["frustum"] = FrustumSpec(**_checked_keys(cfg_d["frustum"], FrustumSpec, f"{path}: frustum"))
+        config = FieldConfig(**cfg_d)
+    except (ConfigError, TypeError, ValueError) as e:
+        raise DataError(f"{where}: bad config ({e})") from e
+    # The list is checked even where the byte count would agree: a config
+    # edit can keep the total size (n_frames 60 -> 80 with code_rank 4 -> 3).
+    shapes = block_shapes(config)
+    want = [[name, list(shape)] for name, shape in shapes.items()]
+    if header["blocks"] != want:
+        i, got, exp = next((i, a, b) for i, (a, b) in enumerate(zip_longest(header["blocks"], want)) if a != b)
+        raise DataError(f"{path}: block {i} in the header is {got}, the config implies {exp}")
+    size = 8 + n + 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(data) < size:
+        raise DataError(f"{path}: truncated checkpoint, the block data is cut short")
+    if len(data) > size:
+        raise DataError(f"{path}: trailing bytes after the last block")
+    blocks, offset = {}, 8 + n
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        # astype copies, so no block keeps the file's bytes alive.
+        blocks[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape).astype(np.float64)
+        offset += 8 * count
+    return LayeredFieldParams(config, blocks), header["meta"]

@@ -11,9 +11,9 @@ Conventions, fixed once and asserted by round-trip tests:
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -225,12 +225,9 @@ def load_cameras(path) -> list[CameraPose]:
     So does a row whose t is not its position: the position alone is the
     frame index, and the t column must agree with it.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"camera file not found: {path}")
+    data = imgio.read_bytes(path)
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     except (UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"{path}: unreadable camera CSV: {e}") from e
     if not rows or rows[0] != _CSV_HEADER:

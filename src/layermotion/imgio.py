@@ -1,8 +1,10 @@
-"""The one file writer, and one codec per on-disk format.
+"""The one file writer, the one file reader, and one codec per on-disk format.
 
 `write_bytes(path, data)` writes every file: it creates the parent
 directory, writes a temporary sibling and `os.replace`s it into place, so a
-reader never sees a partial file. It does not fsync. The codecs on top of it:
+reader never sees a partial file. It does not fsync. `read_bytes(path)`
+reads every file whole; any `OSError` (a missing file, a directory in its
+place) becomes `DataError`. The codecs on top of them:
 PPM (P6) and PGM (P5) images map byte = round(255 * clip(v, 0, 1)), and
 readers invert it as v = byte / 255; raw dumps are little-endian float64 in
 C order with no header (the caller knows the shape); `encode_csv` writes
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from pathlib import Path
 
@@ -37,6 +40,14 @@ def write_bytes(path, data: bytes) -> None:
         raise
 
 
+def read_bytes(path) -> bytes:
+    """The whole contents of `path`; a file that cannot be read raises `DataError`."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read ({e.strerror})") from e
+
+
 def encode_csv(rows) -> bytes:
     """Rows as CSV bytes, the header first, each row ended by "\\r\\n"."""
     buf = io.StringIO()
@@ -47,11 +58,9 @@ def encode_csv(rows) -> bytes:
 def read_json(path) -> dict:
     """The JSON object in `path`. A file that cannot be read, is not valid
     JSON or holds anything but an object raises `DataError`."""
-    path = Path(path)
+    data = read_bytes(path)
     try:
-        doc = json.loads(path.read_bytes())
-    except OSError as e:
-        raise DataError(f"{path}: cannot read ({e.strerror})") from e
+        doc = json.loads(data)
     except ValueError as e:
         raise DataError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
@@ -85,8 +94,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 
 def _read_pnm(path, magic: bytes) -> np.ndarray:
-    path = Path(path)
-    data = path.read_bytes()
+    data = read_bytes(path)
     if not data.startswith(magic):
         raise DataError(f"{path}: expected {magic.decode()} file")
     # Header = magic, width, height, maxval as whitespace-separated tokens,
@@ -134,8 +142,9 @@ def write_f64(path, arr: np.ndarray) -> None:
 
 
 def read_f64(path, shape) -> np.ndarray:
-    raw = np.fromfile(path, dtype="<f8")
-    expect = int(np.prod(shape))
-    if raw.size != expect:
-        raise DataError(f"{path}: expected {expect} float64 values, got {raw.size}")
-    return raw.reshape(shape)
+    """The dump at `path` as a read-only array of `shape`; a caller that writes copies it."""
+    data = read_bytes(path)
+    expect = math.prod(shape)
+    if len(data) != 8 * expect:
+        raise DataError(f"{path}: expected {expect} float64 values ({8 * expect} bytes), got {len(data)} bytes")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)

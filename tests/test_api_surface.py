@@ -133,24 +133,56 @@ def test_cli_flags_and_config_keys_are_one_set(tmp_path):
 WRITERS = {("imgio", "write_bytes"), ("cli", "Workspace.record")}
 
 
+# The only place a file's contents are read: every other read goes through
+# `imgio.read_bytes`.
+READERS = {("imgio", "read_bytes")}
+
+
+def _name(func) -> str | None:
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _on_imgio(func) -> bool:
+    return isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "imgio"
+
+
+def _open_modes(call: ast.Call) -> list:
+    """The mode arguments of builtins.open(path, mode) or Path.open(mode)."""
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    return modes + (call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1])
+
+
 def _opens_for_writing(call: ast.Call) -> bool:
     func = call.func
-    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    name = _name(func)
     if name in ("write_text", "tofile"):
         return True
     if name == "write_bytes":
         # `imgio.write_bytes(...)` is the writer itself; `Path.write_bytes` is not.
-        return isinstance(func, ast.Attribute) and not (
-            isinstance(func.value, ast.Name) and func.value.id == "imgio"
-        )
+        return isinstance(func, ast.Attribute) and not _on_imgio(func)
     if name != "open":
         return False
-    # builtins.open(path, mode) and Path.open(mode); a mode that is not a
-    # string literal counts as a write.
-    modes = [k.value for k in call.keywords if k.arg == "mode"]
-    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    # A mode that is not a string literal counts as a write.
     return any(
         not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+        for m in _open_modes(call)
+    )
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = _name(func)
+    if name in ("read_bytes", "read_text"):
+        # `imgio.read_bytes(...)` and a bare `read_bytes(...)` are the reader itself.
+        return isinstance(func, ast.Attribute) and not _on_imgio(func)
+    if name in ("fromfile", "load"):
+        return isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+    if name != "open":
+        return False
+    # No mode reads; so does a mode that is not a string literal.
+    modes = _open_modes(call)
+    return not modes or any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("r+")
         for m in modes
     )
 
@@ -197,3 +229,27 @@ def test_the_writer_scan_sees_writes():
     assert flagged("p.open('w')\np.open()\nopen(p, m)") == [True, False, True]
     scopes = [s for s, _ in _calls_by_function(ast.parse("class A:\n    def f(self):\n        g()\nh()"))]
     assert scopes == ["A.f", ""]
+
+
+def test_one_reader_for_every_file():
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, call in _calls_by_function(ast.parse(path.read_text())):
+            if _reads_a_file(call) and (path.stem, scope) not in READERS:
+                reads.append(f"{path.stem}:{call.lineno} in {scope or '<module>'}")
+    assert reads == []
+
+
+def test_the_reader_scan_sees_reads():
+    def flagged(src):
+        return [_reads_a_file(c) for _, c in _calls_by_function(ast.parse(src))]
+
+    assert flagged("open(p)\nopen(p, 'rb')\nopen(p, mode='r+b')\nopen(p, 'ab')\nopen(p, m)") == [
+        True, True, True, False, True,
+    ]
+    assert flagged("p.read_bytes()\np.read_text()\nimgio.read_bytes(p)\nread_bytes(p)") == [
+        True, True, False, False,
+    ]
+    assert flagged("np.fromfile(p)\nnp.load(p)\njson.load(fh)\np.open()\np.open('wb')") == [
+        True, True, False, True, False,
+    ]

@@ -1,11 +1,14 @@
 import csv
+import errno
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from layermotion import imgio
 from layermotion.cli import main, read_config_file, sha256_file
 from layermotion.errors import ConfigError
 from layermotion.fields import FieldConfig, FrustumSpec, save_checkpoint, zero_params
@@ -102,6 +105,11 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    def test_directory_in_place_of_the_config_file(self, tmp_path, capsys):
+        assert run(["train", "--workspace", tmp_path / "ws", "--config", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and "cannot read" in err and err.count("\n") == 1
+
 
 class TestMissingArtifacts:
     def test_train_without_dataset(self, tmp_path, capsys):
@@ -130,18 +138,17 @@ class TestMissingArtifacts:
         assert run(["render", "--workspace", ws, "--frames", "0"]) == 3
         assert "cut short" in capsys.readouterr().err
 
-    def test_flipped_block_name_length(self, tmp_path, capsys):
-        # Byte 8 is the first block's name length; a flip used to misparse the
-        # header into a zero-size shape and end in a raw ValueError.
+    def test_flipped_header_length(self, tmp_path, capsys):
+        # Bytes 4..8 hold the JSON header's length.
         ws, ckpt = self.workspace_with_checkpoint(tmp_path)
         data = bytearray(ckpt.read_bytes())
-        data[8] ^= 0x01
+        data[4] ^= 0x01
         ckpt.write_bytes(bytes(data))
         capsys.readouterr()
         assert run(["render", "--workspace", ws, "--frames", "0"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("bad artifact: ") and err.count("\n") == 1
-        assert "unexpected blocks" in err
+        assert "header is not valid JSON" in err
 
 
 def _cut_meta(d):
@@ -183,6 +190,13 @@ def _double_fx(header, rows):
     rows[3][col] = repr(2.0 * float(rows[3][col]))
 
 
+def _directory_in_place_of(name):
+    def corrupt(d):
+        (d / name).unlink()
+        (d / name).mkdir()
+    return corrupt
+
+
 class TestMalformedDataset:
     """Each malformed dataset input ends `lmf train` with exit 3 and one line on stderr."""
 
@@ -200,8 +214,10 @@ class TestMalformedDataset:
         (_narrow_pseudo, "image is 20x24"),
         (lambda d: _edit_cameras(d, _reverse_t), "row 1: t is 5, expected 0"),
         (lambda d: _edit_cameras(d, _double_fx), "camera 3 intrinsics"),
+        (_directory_in_place_of("cameras.csv"), "cameras.csv: cannot read"),
+        (_directory_in_place_of("frames/frame_0002.ppm"), "frame_0002.ppm: cannot read"),
     ], ids=["meta_cut_30_bytes", "n_frames_0", "camera_x_prefix", "rotation_scaled", "pgm_20x24",
-            "t_reversed", "fx_doubled_in_row_3"])
+            "t_reversed", "fx_doubled_in_row_3", "cameras_csv_is_a_directory", "frame_is_a_directory"])
     def test_train_exits_3(self, generated, tmp_path, capsys, corrupt, message):
         ws = tmp_path / "ws"
         shutil.copytree(generated, ws)
@@ -285,24 +301,112 @@ def test_out_of_range_settings_exit_2(mini_ws, capsys, sub, flag, value):
 
 
 class TestBadSidecar:
+    """A workspace from before checkpoints held their own config: LMF1 blocks
+    beside a JSON sidecar. Nothing reads the sidecar, and the magic is exit 3."""
+
     @staticmethod
-    def cut_sidecars(mini_ws, tmp_path):
+    def lmf1_workspace(mini_ws, tmp_path):
         ws = tmp_path / "ws"
         shutil.copytree(mini_ws, ws)
-        for sidecar in (ws / "checkpoints").glob("*.lmf.json"):
-            sidecar.write_bytes(sidecar.read_bytes()[:40])
+        for ckpt in (ws / "checkpoints").glob("*.lmf"):
+            ckpt.write_bytes(b"LMF1" + ckpt.read_bytes()[4:])
+            Path(f"{ckpt}.json").write_text('{"format": "LMF1"}')
         return ws
 
     def test_render(self, mini_ws, tmp_path, capsys):
-        ws = self.cut_sidecars(mini_ws, tmp_path)
+        ws = self.lmf1_workspace(mini_ws, tmp_path)
         assert run(["render", "--workspace", ws, "--frames", "0"] + TINY) == 3
-        assert "not valid JSON" in capsys.readouterr().err
+        assert "bad magic" in capsys.readouterr().err
 
     def test_eval_of_existing_renders(self, mini_ws, tmp_path, capsys):
-        ws = self.cut_sidecars(mini_ws, tmp_path)
+        ws = self.lmf1_workspace(mini_ws, tmp_path)
         assert (ws / "renders" / "mask_dy_0000.f64").exists()
         assert run(["eval", "--workspace", ws] + TINY) == 3
-        assert "not valid JSON" in capsys.readouterr().err
+        assert "bad magic" in capsys.readouterr().err
+
+
+class TestCheckpointOfAnotherDataset:
+    """A checkpoint trained on mini:6x24x24 over a regenerated dataset."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        ws = tmp_path_factory.mktemp("trained") / "ws"
+        assert run(["generate", "--workspace", ws] + TINY) == 0
+        assert run(["train", "--workspace", ws] + TINY) == 0
+        return ws
+
+    # Each once ran: the 8-frame cases exited 1 (frame index outside [0, T))
+    # or, for refine --frames 1, 0; the 32x32 ones exited 0.
+    @pytest.mark.parametrize("scene, args", [
+        ("mini:8x24x24", ["render"]),
+        ("mini:8x24x24", ["eval"]),
+        ("mini:8x24x24", ["refine", "--frames", "6"]),
+        ("mini:8x24x24", ["refine", "--frames", "1"]),
+        ("mini:6x32x32", ["refine"]),
+        ("mini:6x32x32", ["render"]),
+    ], ids=["8_frames-render", "8_frames-eval", "8_frames-refine_6", "8_frames-refine_1",
+            "32x32-refine", "32x32-render"])
+    def test_exits_3(self, trained, tmp_path, capsys, scene, args):
+        ws = tmp_path / "ws"
+        shutil.copytree(trained, ws)
+        assert run(["generate", "--workspace", ws] + TINY + ["--scene", scene]) == 0
+        before = tree_hashes(ws)
+        capsys.readouterr()
+        assert run(args + ["--workspace", ws] + TINY) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and err.count("\n") == 1
+        assert "model.lmf: its field config differs from the dataset's" in err
+        assert tree_hashes(ws) == before
+
+
+def test_refined_checkpoint_of_a_replaced_model(mini_ws, tmp_path, capsys):
+    # Once scored the old refined model as ND+TR+PMF+NMF with exit 0.
+    ws = tmp_path / "ws"
+    shutil.copytree(mini_ws, ws)
+    assert run(["train", "--workspace", ws, "--losses", "rgb", "--seed", 3] + TINY) == 0
+    for sub in ("eval", "render"):
+        capsys.readouterr()
+        assert run([sub, "--workspace", ws] + TINY) == 3, sub
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and "model_refined.lmf: refined from another model.lmf" in err
+
+
+def test_a_failed_checkpoint_write_leaves_a_whole_checkpoint(tmp_path, capsys, monkeypatch):
+    # The disk fills after the first write under checkpoints/ of a retrain.
+    # Eval then scores the old model or the new one, each under its label;
+    # with a separate sidecar it once scored the new blocks as ND.
+    ws, copy = tmp_path / "ws", tmp_path / "copy"
+    base = ["--seed", 1] + TINY
+    assert run(["generate", "--workspace", ws] + base) == 0
+    assert run(["train", "--workspace", ws, "--losses", "rgb"] + base) == 0
+
+    def table(root):
+        capsys.readouterr()
+        assert run(["eval", "--workspace", root] + base) == 0
+        return capsys.readouterr().out
+
+    before = table(ws)
+    shutil.copytree(ws, copy)
+    assert run(["train", "--workspace", copy] + base) == 0
+    retrained = table(copy)
+    assert "ND+PMF+NMF" in retrained and "ND+PMF+NMF" not in before
+
+    write_bytes, written = imgio.write_bytes, []
+
+    def disk_fills(path, data):
+        if "checkpoints" in Path(path).parts:
+            if written:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            written.append(path)
+        write_bytes(path, data)
+
+    monkeypatch.setattr(imgio, "write_bytes", disk_fills)
+    try:
+        run(["train", "--workspace", ws] + base)
+    except OSError:
+        pass
+    monkeypatch.undo()
+    assert table(ws) in (before, retrained)
 
 
 class TestRenderSource:
@@ -498,8 +602,8 @@ class TestPipeline:
 
 
 GOLDEN = Path(__file__).parent / "golden_mini.sha256"
-# The sidecars store the field config, and the workspace manifest hashes them.
-GOLDEN_EXEMPT = {"manifest.csv", "checkpoints/model.lmf.json", "checkpoints/model_refined.lmf.json"}
+# The workspace manifest hashes the checkpoints, which store the field config.
+GOLDEN_EXEMPT = {"manifest.csv"}
 
 
 def test_golden_checksums(tmp_path):
@@ -507,7 +611,7 @@ def test_golden_checksums(tmp_path):
 
     `golden_mini.sha256` was recorded with numpy 2.4.6 on x86-64; a refactor
     that claims to keep the maths must keep every listed digest. Only the
-    checkpoint sidecars and the workspace manifest are exempt.
+    workspace manifest is exempt.
     """
     ws = tmp_path / "ws"
     run_pipeline(ws, seed=0, workers=2)

@@ -455,6 +455,24 @@ class TestParameterPartition:
         assert (before[0][:, 1] != after[0][:, 1]).any()
 
 
+def split_lmf(path):
+    """(JSON header, raw block bytes) of the LMF2 file at `path`."""
+    data = path.read_bytes()
+    n = struct.unpack("<I", data[4:8])[0]
+    return json.loads(data[8 : 8 + n]), data[8 + n :]
+
+
+def write_lmf(path, header, payload, head=None):
+    """An LMF2 file holding `header` (or the raw `head` bytes) and then `payload`,
+    independent of save_checkpoint: unsorted keys, default separators."""
+    head = json.dumps(header).encode("utf-8") if head is None else head
+    path.write_bytes(b"LMF2" + struct.pack("<I", len(head)) + head + payload)
+
+
+def block_bytes(blocks):
+    return b"".join(np.asarray(arr, dtype="<f8").tobytes() for _, arr in blocks)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = small_config()
@@ -468,36 +486,45 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.blocks[name], params.blocks[name])
 
     def test_magic_bytes(self, tmp_path):
+        # One file: no sidecar beside it.
         params = zero_params(small_config())
         path = tmp_path / "model.lmf"
         save_checkpoint(params, path)
-        assert path.read_bytes()[:4] == b"LMF1"
+        assert path.read_bytes()[:4] == b"LMF2"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.lmf"]
 
     def test_rejects_bad_magic(self, tmp_path):
+        # LMF1, the format with a JSON sidecar, has no reader.
         params = zero_params(small_config())
         path = tmp_path / "model.lmf"
         save_checkpoint(params, path)
-        data = bytearray(path.read_bytes())
-        data[:4] = b"XXXX"
-        path.write_bytes(bytes(data))
-        with pytest.raises(DataError):
-            load_checkpoint(path)
+        for magic in (b"XXXX", b"LMF1"):
+            path.write_bytes(magic + path.read_bytes()[4:])
+            with pytest.raises(DataError, match="bad magic"):
+                load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            load_checkpoint(tmp_path / "none.lmf")
+        for path in (tmp_path / "none.lmf", tmp_path):
+            with pytest.raises(DataError, match="cannot read"):
+                load_checkpoint(path)
 
-    # Header layout: magic (4), block count (4); then per block: name length
-    # (2), name, rank (1), shape (4 per axis), float64 data. The first block
-    # is `phi0` with rank 4, so its shape spans bytes 15..30.
-    @pytest.mark.parametrize(
-        "cut", [2, 6, 12, 14, 20, 40, -8], ids=["magic", "count", "name", "rank", "shape", "data", "last"]
-    )
+    # Layout: magic (4), header length (4), the JSON header, then the block
+    # data; the header lists phi0 first, as "phi0",[5,5,5,2].
+    @pytest.mark.parametrize("cut", [
+        lambda d: 2,
+        lambda d: 6,
+        lambda d: d.index(b'"phi0"') + 3,
+        lambda d: d.index(b'"phi0",[') + 8,
+        lambda d: d.index(b'"phi0",[') + 10,
+        lambda d: 8 + struct.unpack("<I", d[4:8])[0] + 40,
+        lambda d: len(d) - 8,
+    ], ids=["magic", "count", "name", "rank", "shape", "data", "last"])
     def test_truncated_file(self, tmp_path, cut):
         params = randomized_params(small_config(), seed=16)
         path = tmp_path / "model.lmf"
         save_checkpoint(params, path)
-        path.write_bytes(path.read_bytes()[:cut])
+        data = path.read_bytes()
+        path.write_bytes(data[: cut(data)])
         with pytest.raises(DataError, match="is cut short"):
             load_checkpoint(path)
 
@@ -510,84 +537,82 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_corrupt_shape_claims_more_than_the_file(self, tmp_path):
+        # A config and block list that agree on 10^6-cell grids: the byte
+        # count is checked before any block is read.
         params = zero_params(small_config())
         path = tmp_path / "model.lmf"
         save_checkpoint(params, path)
-        data = bytearray(path.read_bytes())
-        data[15:19] = b"\xff\xff\xff\xff"  # first axis of phi0
-        path.write_bytes(bytes(data))
+        header, payload = split_lmf(path)
+        header["config"]["grid_res"] = 10**6
+        for entry in header["blocks"][:2]:  # phi0, st_grid
+            entry[1][:3] = [10**6] * 3
+        write_lmf(path, header, payload)
         with pytest.raises(DataError, match="is cut short"):
             load_checkpoint(path)
 
-    # Each header is checked against the sidecar config before its data is
-    # read. A flipped name length (byte 8) used to run the reader into the
-    # next fields and end in a raw ValueError from a zero-size reshape.
+    # One flipped byte: the header length, a block name, a separator of
+    # phi0's shape (the rank), and its first axis.
     @pytest.mark.parametrize("offset, flip, message", [
-        (8, 0x01, "unexpected blocks"),
-        (13, 0x01, "unexpected blocks \\['phi1'\\]"),
-        (14, 0x07, "block 'phi0' has shape \\(5, 5, 5\\),"),
-        (15, 0x05, "block 'phi0' has shape \\(0, 5, 5, 2\\)"),
+        (lambda d: 4, 0x01, "header is not valid JSON"),
+        (lambda d: d.index(b'"phi0"') + 4, 0x01, "block 0 in the header is \\['phi1'"),
+        (lambda d: d.index(b'"phi0",[') + 9, 0x19, "block 0 in the header is \\['phi0', \\[555, 5, 2\\]\\]"),
+        (lambda d: d.index(b'"phi0",[') + 8, 0x05, "block 0 in the header is \\['phi0', \\[0, 5, 5, 2\\]\\]"),
     ], ids=["name_length", "name", "rank", "shape_zero"])
     def test_flipped_header_byte(self, tmp_path, offset, flip, message):
         params = zero_params(small_config())
         path = tmp_path / "model.lmf"
         save_checkpoint(params, path)
         data = bytearray(path.read_bytes())
-        data[offset] ^= flip
+        data[offset(data)] ^= flip
         path.write_bytes(bytes(data))
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)
 
 
-def write_lmf(path, blocks):
-    """An LMF1 container holding exactly `blocks`, independent of save_checkpoint.
-
-    `blocks` is a dict or a list of (name, array) pairs, which may repeat a name.
-    """
-    items = list(blocks.items()) if isinstance(blocks, dict) else blocks
-    with open(path, "wb") as fh:
-        fh.write(b"LMF1" + struct.pack("<I", len(items)))
-        for name, arr in items:
-            fh.write(struct.pack("<H", len(name)) + name.encode("ascii"))
-            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-            fh.write(np.asarray(arr, dtype="<f8").tobytes())
-
-
 class TestCheckpointValidation:
-    """Malformed sidecars and block sets raise DataError, one case each."""
+    """Malformed headers and block sets raise DataError, one case each."""
 
     @staticmethod
     def saved(tmp_path):
         params = randomized_params(small_config(), seed=17)
         path = tmp_path / "model.lmf"
         save_checkpoint(params, path, meta={"losses": ["rgb"]})
-        sidecar = tmp_path / "model.lmf.json"
-        return params, path, sidecar, json.loads(sidecar.read_text())
+        header, payload = split_lmf(path)
+        return params, path, header, payload
 
-    def test_sidecar_cut_short_is_invalid_json(self, tmp_path):
-        _, path, sidecar, _ = self.saved(tmp_path)
-        sidecar.write_bytes(sidecar.read_bytes()[:40])
+    def test_header_is_invalid_json(self, tmp_path):
+        _, path, header, payload = self.saved(tmp_path)
+        write_lmf(path, header, payload, head=json.dumps(header).encode("utf-8")[:40])
         with pytest.raises(DataError, match="not valid JSON"):
             load_checkpoint(path)
 
-    def test_sidecar_without_config(self, tmp_path):
-        _, path, sidecar, _ = self.saved(tmp_path)
-        sidecar.write_text(json.dumps({"format": "LMF1"}))
-        with pytest.raises(DataError, match="no 'config'"):
+    def test_header_without_config(self, tmp_path):
+        _, path, header, payload = self.saved(tmp_path)
+        del header["config"]
+        write_lmf(path, header, payload)
+        with pytest.raises(DataError, match="a JSON object of blocks, config and meta"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("blocks", {}), ("meta", [])])
+    def test_header_entry_of_the_wrong_type(self, tmp_path, key, value):
+        _, path, header, payload = self.saved(tmp_path)
+        header[key] = value
+        write_lmf(path, header, payload)
+        with pytest.raises(DataError, match="blocks must be a JSON list and its meta an object"):
             load_checkpoint(path)
 
     def test_unknown_config_key(self, tmp_path):
-        # Sidecars written while the field had a learned-basis mode carry its flag.
-        _, path, sidecar, doc = self.saved(tmp_path)
-        doc["config"]["learn_basis"] = False
-        sidecar.write_text(json.dumps(doc))
+        # Checkpoints written while the field had a learned-basis mode carry its flag.
+        _, path, header, payload = self.saved(tmp_path)
+        header["config"]["learn_basis"] = False
+        write_lmf(path, header, payload)
         with pytest.raises(DataError, match="unknown keys \\['learn_basis'\\]"):
             load_checkpoint(path)
 
     def test_missing_config_key(self, tmp_path):
-        _, path, sidecar, doc = self.saved(tmp_path)
-        del doc["config"]["frustum"]["far"]
-        sidecar.write_text(json.dumps(doc))
+        _, path, header, payload = self.saved(tmp_path)
+        del header["config"]["frustum"]["far"]
+        write_lmf(path, header, payload)
         with pytest.raises(DataError, match="missing keys \\['far'\\]"):
             load_checkpoint(path)
 
@@ -596,87 +621,84 @@ class TestCheckpointValidation:
         "box", ["abc", [1, 1], [1.0, "a", 1.0], [1.0, 1.0, True], 1.25, None, [1.0, 1.0, math.inf]]
     )
     def test_world_box_not_3_finite_numbers(self, tmp_path, key, box):
-        _, path, sidecar, doc = self.saved(tmp_path)
-        doc["config"][key] = box
-        sidecar.write_text(json.dumps(doc))
+        _, path, header, payload = self.saved(tmp_path)
+        header["config"][key] = box
+        write_lmf(path, header, payload)
         with pytest.raises(DataError, match=f"{key} must be a list of 3 finite numbers"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("lo", [[1.25, -1.25, -1.25], [-1.25, -1.25, 2.0]])
     def test_world_box_empty_on_an_axis(self, tmp_path, lo):
-        _, path, sidecar, doc = self.saved(tmp_path)
-        doc["config"]["world_lo"] = lo
-        sidecar.write_text(json.dumps(doc))
+        _, path, header, payload = self.saved(tmp_path)
+        header["config"]["world_lo"] = lo
+        write_lmf(path, header, payload)
         with pytest.raises(DataError, match="world_lo must be below world_hi on every axis"):
             load_checkpoint(path)
 
     def test_extra_block(self, tmp_path):
-        params, path, _, _ = self.saved(tmp_path)
-        write_lmf(path, {**params.blocks, "bogus": np.zeros(2)})
-        with pytest.raises(DataError, match="unexpected blocks \\['bogus'\\]"):
+        _, path, header, payload = self.saved(tmp_path)
+        header["blocks"].append(["bogus", [2]])
+        write_lmf(path, header, payload + bytes(16))
+        with pytest.raises(DataError, match="block 12 in the header is \\['bogus', \\[2\\]\\]"):
             load_checkpoint(path)
 
     def test_duplicate_block(self, tmp_path):
-        params, path, _, _ = self.saved(tmp_path)
-        write_lmf(path, [*params.blocks.items(), ("phi0", params.blocks["phi0"])])
-        with pytest.raises(DataError, match="block 'phi0' appears twice"):
+        params, path, header, payload = self.saved(tmp_path)
+        header["blocks"].append(header["blocks"][0])
+        write_lmf(path, header, payload + block_bytes([("phi0", params.blocks["phi0"])]))
+        with pytest.raises(DataError, match="block 12 in the header is \\['phi0'"):
             load_checkpoint(path)
 
     def test_missing_block(self, tmp_path):
-        params, path, _, _ = self.saved(tmp_path)
-        write_lmf(path, {k: v for k, v in params.blocks.items() if k != "code_dy"})
-        with pytest.raises(DataError, match="missing blocks \\['code_dy'\\]"):
+        params, path, header, _ = self.saved(tmp_path)
+        header["blocks"] = [entry for entry in header["blocks"] if entry[0] != "code_dy"]
+        write_lmf(path, header, block_bytes((k, v) for k, v in params.blocks.items() if k != "code_dy"))
+        with pytest.raises(DataError, match="block 11 in the header is None, the config implies \\['code_dy'"):
             load_checkpoint(path)
 
     def test_block_shape_disagrees_with_config(self, tmp_path):
-        _, path, sidecar, doc = self.saved(tmp_path)
-        doc["config"]["grid_res"] = 7
-        sidecar.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="block 'phi0' has shape"):
+        _, path, header, payload = self.saved(tmp_path)
+        header["config"]["grid_res"] = 7
+        write_lmf(path, header, payload)
+        with pytest.raises(DataError, match="block 0 in the header is \\['phi0', \\[5, 5, 5, 2\\]\\], "
+                           "the config implies \\['phi0', \\[7, 7, 7, 2\\]\\]"):
+            load_checkpoint(path)
+
+    def test_config_edit_that_keeps_the_byte_count(self, tmp_path):
+        # 10 frames at code rank 1 hold as many coefficients as 5 at rank 2.
+        _, path, header, payload = self.saved(tmp_path)
+        header["config"].update(n_frames=10, code_rank=1)
+        write_lmf(path, header, payload)
+        with pytest.raises(DataError, match="block 7 in the header is \\['code_ss', \\[5, 2\\]\\]"):
             load_checkpoint(path)
 
     def test_independent_writer_round_trips(self, tmp_path):
-        params, path, _, _ = self.saved(tmp_path)
-        write_lmf(path, params.blocks)
+        params, path, header, _ = self.saved(tmp_path)
+        write_lmf(path, header, block_bytes(params.blocks.items()))
         loaded, meta = load_checkpoint(path)
         assert meta == {"losses": ["rgb"]}
         for name in BLOCK_NAMES:
             np.testing.assert_array_equal(loaded.blocks[name], params.blocks[name])
 
 
-def lmf_header_offsets(params):
-    """Byte offsets of the container header and of every block header."""
-    offsets = list(range(8))
-    pos = 8
-    for name in BLOCK_NAMES:
-        shape = params.blocks[name].shape
-        n = 2 + len(name) + 1 + 4 * len(shape)
-        offsets += range(pos, pos + n)
-        pos += n + 8 * math.prod(shape)
-    return offsets
-
-
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
-    # Zero blocks, like the empty regions of a baked model: a header misread
-    # into zero data then claims a zero-size block instead of a huge one.
+    # Zero blocks, like the empty regions of a baked model.
     params = zero_params(small_config())
     path = tmp_path_factory.mktemp("ckpt") / "model.lmf"
     save_checkpoint(params, path, meta={"losses": ["rgb"]})
-    return path, lmf_header_offsets(params)
+    return path
 
 
-@pytest.mark.parametrize("name", ["model.lmf", "model.lmf.json"])
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_cut_or_flipped_checkpoint_loads_or_raises_data_error(saved_checkpoint, name, data):
-    ckpt, header = saved_checkpoint
-    path = ckpt.parent / name
+def test_cut_or_flipped_checkpoint_loads_or_raises_data_error(saved_checkpoint, data):
+    # Offsets are drawn from anywhere in the file, and half the time from
+    # the magic, the header length and the JSON header.
+    path = saved_checkpoint
     original = path.read_bytes()
-    anywhere = st.integers(0, len(original) - 1)
-    if name == "model.lmf":
-        anywhere = st.one_of(st.sampled_from(header), anywhere)
-    offset = data.draw(anywhere, label="offset")
+    header = range(8 + struct.unpack("<I", original[4:8])[0])
+    offset = data.draw(st.one_of(st.sampled_from(header), st.integers(0, len(original) - 1)), label="offset")
     if data.draw(st.booleans(), label="cut"):
         mutated = original[:offset]
     else:
@@ -684,7 +706,7 @@ def test_cut_or_flipped_checkpoint_loads_or_raises_data_error(saved_checkpoint, 
         mutated = original[:offset] + bytes([original[offset] ^ flip]) + original[offset + 1 :]
     path.write_bytes(mutated)
     try:
-        load_checkpoint(ckpt)
+        load_checkpoint(path)
     except DataError:
         pass
     finally:
