@@ -152,6 +152,11 @@ def _open_modes(call: ast.Call) -> list:
     return modes + (call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1])
 
 
+def _mode_may_hold(mode, chars: str) -> bool:
+    """A literal mode holds one of `chars`; one that is not a literal may hold any."""
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set(mode.value) & set(chars))
+
+
 def _opens_for_writing(call: ast.Call) -> bool:
     func = call.func
     name = _name(func)
@@ -162,11 +167,7 @@ def _opens_for_writing(call: ast.Call) -> bool:
         return isinstance(func, ast.Attribute) and not _on_imgio(func)
     if name != "open":
         return False
-    # A mode that is not a string literal counts as a write.
-    return any(
-        not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
-        for m in _open_modes(call)
-    )
+    return any(_mode_may_hold(m, "wax+") for m in _open_modes(call))
 
 
 def _reads_a_file(call: ast.Call) -> bool:
@@ -179,12 +180,8 @@ def _reads_a_file(call: ast.Call) -> bool:
         return isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
     if name != "open":
         return False
-    # No mode reads; so does a mode that is not a string literal.
-    modes = _open_modes(call)
-    return not modes or any(
-        not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("r+")
-        for m in modes
-    )
+    modes = _open_modes(call)  # no mode is "r"
+    return not modes or any(_mode_may_hold(m, "r+") for m in modes)
 
 
 def _calls_by_function(tree):
