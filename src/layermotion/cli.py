@@ -2,12 +2,17 @@
 
 One binary with subcommands, a flat key=value config file, and CLI flag
 overrides (flags win). Every subcommand appends its artifacts to
-`<workspace>/manifest.csv` (subcommand, kind, relative path, sha256), so a
-successful pipeline is reproducible and checkable from the manifest plus
-the seed alone; nothing written contains timestamps.
+`<workspace>/manifest.csv` (subcommand, kind, relative path, sha256) with
+the digests its writes returned, so no command reads back what it wrote.
+A successful pipeline is reproducible and checkable from the manifest plus
+the seed alone; nothing written contains timestamps. A lineage record is
+{workspace-relative path: sha256}: a refined checkpoint's `meta["lineage"]`
+holds its `model.lmf`, and `renders/source.json` the checkpoint a render
+read plus every file it wrote. `_check_lineage` checks both.
 
-Exit codes: 0 success, 2 configuration error, 3 missing upstream artifact,
-4 numerical failure during optimization or rendering.
+Exit codes: 0 success, 1 a failed write or any other engine error,
+2 configuration error, 3 missing or stale upstream artifact, 4 numerical
+failure during optimization or rendering.
 """
 
 from __future__ import annotations
@@ -157,10 +162,15 @@ class Workspace:
     def manifest_path(self) -> Path:
         return self.root / "manifest.csv"
 
-    def record(self, subcommand: str, kind: str, paths) -> None:
-        """Append one row per path, in one write; the first call writes the header."""
+    def rel(self, path) -> str:
+        """`path` relative to the workspace root, with '/' separators."""
+        return Path(path).relative_to(self.root).as_posix()
+
+    def record(self, subcommand: str, kind: str, written: dict) -> None:
+        """Append one row per written path (path -> the SHA-256 its write
+        returned), in one write; the first call writes the header."""
         rows = [] if self.manifest_path.exists() else [["subcommand", "kind", "path", "sha256"]]
-        rows += [[subcommand, kind, os.path.relpath(p, self.root), sha256_file(p)] for p in paths]
+        rows += [[subcommand, kind, self.rel(p), digest] for p, digest in written.items()]
         with open(self.manifest_path, "ab") as fh:
             fh.write(imgio.encode_csv(rows))
 
@@ -211,8 +221,7 @@ def cmd_generate(args) -> int:
     scene = generate_scene(scene_cfg)
     gt = render_ground_truth(scene)
     pseudo = degrade_to_pseudo_masks(gt, recall=scene_cfg.recall, fpr=scene_cfg.fpr, seed=scene_cfg.seed)
-    created = write_dataset(ws.dataset_dir, scene, gt, pseudo, scene_cfg)
-    ws.record("generate", "dataset", created)
+    ws.record("generate", "dataset", write_dataset(ws.dataset_dir, scene, gt, pseudo, scene_cfg))
     print(f"dataset: {scene.n_frames} frames {scene.height}x{scene.width} -> {ws.dataset_dir}")
     return 0
 
@@ -229,20 +238,19 @@ def cmd_train(args) -> int:
     )
     params = init_params(ds.field_config(), seed=cfg["seed"])
     params, log = train(params, ds, tc)
-    log_path = ws.root / "reports" / "training_log.csv"
-    _write_log(log_path, log)
     ckpt = ws.root / "checkpoints" / "model.lmf"
+    log_path = ws.root / "reports" / "training_log.csv"
     meta = {"losses": list(tc.loss.terms), "refined": False, "seed": cfg["seed"], "scene": ds.meta.get("name")}
-    save_checkpoint(params, ckpt, meta)
-    ws.record("train", "checkpoint", [ckpt, log_path])
+    written = {ckpt: save_checkpoint(params, ckpt, meta), log_path: _write_log(log_path, log)}
+    ws.record("train", "checkpoint", written)
     print(f"trained {tc.epochs} epochs ({len(log)} steps) -> {ckpt}")
     return 0
 
 
-def _write_log(path, log_rows) -> None:
+def _write_log(path, log_rows) -> str:
     cols = ["epoch", "step", "l_rgb", "l_pmf", "l_nmf", "l_total",
             "grad_norm_st", "grad_norm_ss", "grad_norm_dy"]
-    imgio.write_bytes(path, imgio.encode_csv([cols] + [[row[c] for c in cols] for row in log_rows]))
+    return imgio.write_bytes(path, imgio.encode_csv([cols] + [[row[c] for c in cols] for row in log_rows]))
 
 
 def cmd_refine(args) -> int:
@@ -252,8 +260,8 @@ def cmd_refine(args) -> int:
     ckpt_in = ws.root / "checkpoints" / "model.lmf"
     if not ckpt_in.exists():
         raise MissingArtifactError(f"checkpoint not found: {ckpt_in} (run train first)")
-    model_sha256 = sha256_file(ckpt_in)
     params, meta = _load_checkpoint(ckpt_in, ds)
+    lineage = {ws.rel(ckpt_in): sha256_file(ckpt_in)}
     frames = _parse_frames(cfg["frames"], ds)
     rc = RefineConfig(
         frames=frames,
@@ -263,12 +271,11 @@ def cmd_refine(args) -> int:
         **_optim_settings(cfg),
     )
     params, log, _ = refine(params, ds, rc)
-    log_path = ws.root / "reports" / "refine_log.csv"
-    _write_log(log_path, log)
     ckpt_out = ws.root / "checkpoints" / "model_refined.lmf"
-    meta.update(refined=True, refine_frames=list(frames), neighbors=rc.neighbors, model_sha256=model_sha256)
-    save_checkpoint(params, ckpt_out, meta)
-    ws.record("refine", "checkpoint", [ckpt_out, log_path])
+    log_path = ws.root / "reports" / "refine_log.csv"
+    meta.update(refined=True, refine_frames=list(frames), neighbors=rc.neighbors, lineage=lineage)
+    written = {ckpt_out: save_checkpoint(params, ckpt_out, meta), log_path: _write_log(log_path, log)}
+    ws.record("refine", "checkpoint", written)
     print(f"refined on frames {list(frames)} (N={rc.neighbors}) -> {ckpt_out}")
     return 0
 
@@ -283,47 +290,36 @@ def _load_checkpoint(path: Path, ds: Dataset):
     return params, meta
 
 
+def _check_lineage(where: Path, record, now: dict, stale: str) -> None:
+    """Raise `DataError` unless the lineage record `record` (workspace-relative
+    path -> SHA-256, stored in `where`) holds each path of `now` with the
+    digest `now` gives it. The message names `where`, then `stale` formatted
+    with the first path that is missing or differs (`path`) and its file name
+    (`name`)."""
+    record = record if isinstance(record, dict) else {}
+    for rel, digest in now.items():
+        if record.get(rel) != digest:
+            raise DataError(f"{where}: " + stale.format(path=rel, name=Path(rel).name))
+
+
 def _pick_checkpoint(ws: Workspace, ds: Dataset):
     """The checkpoint render and eval use, as (path, params, meta):
     model_refined.lmf when it exists, else model.lmf. A refined checkpoint
-    whose recorded model.lmf digest is not the current file's raises `DataError`."""
+    whose lineage does not hold the current model.lmf raises `DataError`."""
     model, refined = ws.root / "checkpoints" / "model.lmf", ws.root / "checkpoints" / "model_refined.lmf"
     path = refined if refined.exists() else model
     if not path.exists():
         raise MissingArtifactError(f"no checkpoint under {path.parent} (run train first)")
     params, meta = _load_checkpoint(path, ds)
-    if path == refined and meta.get("model_sha256") != sha256_file(model):
-        raise DataError(f"{refined}: refined from another {model.name} than the current one; rerun refine")
+    if path == refined:
+        _check_lineage(refined, meta.get("lineage"), {ws.rel(model): sha256_file(model)},
+                       "refined from another {name} than the current one; rerun refine")
     return path, params, meta
 
 
 def _mask_dumps(render_dir: Path, t: int) -> list[Path]:
     """The (semi-static, dynamic) mask dumps of frame `t`, which eval scores."""
     return [render_dir / f"{key}_{t:04d}.f64" for key in ("mask_ss", "mask_dy")]
-
-
-def _render_source(ws: Workspace, ckpt: Path, dumps) -> dict:
-    """What `renders/source.json` records: the checkpoint the renders came
-    from, and the SHA-256 of each mask dump, by workspace-relative path."""
-    return {
-        "checkpoint": ckpt.relative_to(ws.root).as_posix(),
-        "sha256": sha256_file(ckpt),
-        "mask_dumps": {p.relative_to(ws.root).as_posix(): sha256_file(p) for p in dumps},
-    }
-
-
-def _check_render_source(ws: Workspace, ckpt: Path, dumps) -> None:
-    """Raise `DataError` unless `renders/source.json` names `ckpt` as it is
-    now and records each of `dumps` with its current bytes."""
-    path = ws.root / "renders" / "source.json"
-    source = imgio.read_json(path)
-    now = _render_source(ws, ckpt, dumps)
-    if any(source.get(k) != now[k] for k in ("checkpoint", "sha256")):
-        raise DataError(f"{path}: the renders do not come from the current {now['checkpoint']}; rerun render")
-    recorded = source.get("mask_dumps")
-    changed = [k for k, v in now["mask_dumps"].items() if not isinstance(recorded, dict) or recorded.get(k) != v]
-    if changed:
-        raise DataError(f"{path}: {changed[0]} differs from what the last render wrote; rerun render")
 
 
 def cmd_render(args) -> int:
@@ -343,20 +339,20 @@ def cmd_render(args) -> int:
         ("mask_ss", "mask_ss_{t:04d}.pgm", imgio.write_pgm),
         ("mask_dy", "mask_dy_{t:04d}.pgm", imgio.write_pgm),
     ]
-    created, dumps = [], []
+    written = {}
     for t in frames:
         out = render_frame(
             params, ds.poses[t], t=t, n_samples=cfg["render_samples"], workers=cfg["workers"]
         )
         for key, name, write in files:
-            created.append(out_dir / name.format(t=t))
-            write(created[-1], out[key])
-        dumps += _mask_dumps(out_dir, t)
+            path = out_dir / name.format(t=t)
+            written[path] = write(path, out[key])
+    # The lineage record eval checks: the checkpoint read, then every file written.
+    record = {ws.rel(ckpt): sha256_file(ckpt)} | {ws.rel(p): digest for p, digest in written.items()}
     source = out_dir / "source.json"
-    text = json.dumps(_render_source(ws, ckpt, dumps), indent=1, sort_keys=True) + "\n"
-    imgio.write_bytes(source, text.encode("utf-8"))
-    created.append(source)
-    ws.record("render", "render", created)
+    text = json.dumps(record, indent=1, sort_keys=True) + "\n"
+    written[source] = imgio.write_bytes(source, text.encode("utf-8"))
+    ws.record("render", "render", written)
     print(f"rendered {len(frames)} frames -> {out_dir}")
     return 0
 
@@ -384,16 +380,6 @@ def _predictions_from_pgm_dir(pred_dir: Path, frames, shape):
     return preds
 
 
-def _read_mask_dump(path: Path, shape) -> np.ndarray:
-    """A rendered mask dump. Masks are density shares, so a value outside
-    [0, 1] by more than rounding (1e-12) is `DataError`; NaN is left to
-    `evaluate`, which rejects any non-finite score."""
-    mask = imgio.read_f64(path, shape)
-    if np.any((mask < -1e-12) | (mask > 1.0 + 1e-12)):
-        raise DataError(f"{path}: mask values outside [0, 1]")
-    return mask
-
-
 def cmd_eval(args) -> int:
     cfg = _settings(args)
     ws = Workspace(args.workspace)
@@ -406,9 +392,19 @@ def cmd_eval(args) -> int:
         report = evaluate(preds, ds, frames, label=label or "external")
     elif all(p.exists() for pair in dumps.values() for p in pair):
         ckpt, _, meta = _pick_checkpoint(ws, ds)
-        _check_render_source(ws, ckpt, [p for pair in dumps.values() for p in pair])
-        shape = (ds.height, ds.width)
-        preds = {t: tuple(_read_mask_dump(p, shape) for p in pair) for t, pair in dumps.items()}
+        source = ws.root / "renders" / "source.json"
+        # Each dump is read once. read_f64 checks its length, so an array's
+        # digest is its file's: the bytes checked are the bytes scored.
+        scored = {p: imgio.read_f64(p, (ds.height, ds.width)) for pair in dumps.values() for p in pair}
+        now = {ws.rel(ckpt): sha256_file(ckpt)} | {ws.rel(p): hashlib.sha256(m).hexdigest() for p, m in scored.items()}
+        _check_lineage(source, imgio.read_json(source), now,
+                       "{path} differs from what the last render wrote or read; rerun render")
+        # Masks are density shares: a value past [0, 1] by more than rounding
+        # is bad. NaN is left to `evaluate`, which rejects non-finite scores.
+        for p, m in scored.items():
+            if np.any((m < -1e-12) | (m > 1.0 + 1e-12)):
+                raise DataError(f"{p}: mask values outside [0, 1]")
+        preds = {t: tuple(scored[p] for p in pair) for t, pair in dumps.items()}
         report = evaluate(preds, ds, frames, label=label or _label(meta))
     else:
         _, params, meta = _pick_checkpoint(ws, ds)
@@ -417,20 +413,19 @@ def cmd_eval(args) -> int:
             n_samples=cfg["render_samples"], workers=cfg["workers"],
         )
     out_dir = ws.root / "reports"
-    # A loaded dataset always has pseudo-labels; score their quality too.
-    quality_path = out_dir / "pseudo_curves.csv"
-    cols = ["threshold", "precision", "recall", "fpr", "fnr"]
-    rows = [[f"{row[k]:.6f}" for k in cols] for row in analyze_pseudo_masks(ds.pseudo, ds.mask_dyn)]
-    imgio.write_bytes(quality_path, imgio.encode_csv([cols] + rows))
-    csv_path = out_dir / "eval.csv"
     rows = [["label", "category", "frame", "ap", "kind"]] + [
         [report.label, row["category"], row["frame"], f"{row['ap']:.6f}", row["kind"]] for row in report.as_rows()
     ]
-    imgio.write_bytes(csv_path, imgio.encode_csv(rows))
     table = report.summary_table()
-    summary_path = out_dir / "summary.txt"
-    imgio.write_bytes(summary_path, (table + "\n").encode("utf-8"))
-    ws.record("eval", "report", [csv_path, summary_path, quality_path])
+    # A loaded dataset always has pseudo-labels; score their quality too.
+    cols = ["threshold", "precision", "recall", "fpr", "fnr"]
+    quality = [[f"{row[k]:.6f}" for k in cols] for row in analyze_pseudo_masks(ds.pseudo, ds.mask_dyn)]
+    files = {
+        out_dir / "eval.csv": imgio.encode_csv(rows),
+        out_dir / "summary.txt": (table + "\n").encode("utf-8"),
+        out_dir / "pseudo_curves.csv": imgio.encode_csv([cols] + quality),
+    }
+    ws.record("eval", "report", {p: imgio.write_bytes(p, data) for p, data in files.items()})
     print(table)
     return 0
 
@@ -477,7 +472,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    except EngineError as e:
+    except (EngineError, OSError) as e:  # every read error is a DataError, so OSError is a failed write
         print(f"error: {e}", file=sys.stderr)
         return 1
 

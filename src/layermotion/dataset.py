@@ -178,8 +178,8 @@ def write_dataset(
     gt: GroundTruth,
     pseudo: np.ndarray,
     config: SceneConfig,
-) -> list[Path]:
-    """Write the full dataset tree; returns the created file paths."""
+) -> dict[Path, str]:
+    """Write the full dataset tree; returns {path: SHA-256} in write order."""
     root = Path(root)
     images = {
         "rgb": gt.rgb,
@@ -187,18 +187,16 @@ def write_dataset(
         "mask_ss": gt.mask_ss.astype(np.float64),
         "pseudo": pseudo,
     }
-    created: list[Path] = []
+    written: dict[Path, str] = {}
     for t in range(scene.n_frames):
         for key, name in _FRAME_FILES:
             path = root / name.format(t=t)
             write = imgio.write_ppm if path.suffix == ".ppm" else imgio.write_pgm
-            write(path, images[key][t])
-            created.append(path)
-    cam_path = root / "cameras.csv"
-    save_cameras(cam_path, scene.cameras)
-    meta_path = root / "meta.json"
-    imgio.write_bytes(meta_path, json.dumps(_meta(scene, config), indent=1, sort_keys=True).encode("utf-8"))
-    return created + [cam_path, meta_path]
+            written[path] = write(path, images[key][t])
+    written[root / "cameras.csv"] = save_cameras(root / "cameras.csv", scene.cameras)
+    meta = json.dumps(_meta(scene, config), indent=1, sort_keys=True).encode("utf-8")
+    written[root / "meta.json"] = imgio.write_bytes(root / "meta.json", meta)
+    return written
 
 
 def _is_int(v) -> bool:

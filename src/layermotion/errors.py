@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the engine.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, MissingArtifactError and
-DataError -> 3, NumericalError (and subclasses) -> 4, anything else -> 1.
+DataError -> 3, NumericalError (and subclasses) -> 4, anything else, and an
+OSError from a failed write, -> 1.
 """
 
 

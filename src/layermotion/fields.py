@@ -523,11 +523,11 @@ def backward_eval_layers(
 _MAGIC = b"LMF2"
 
 
-def save_checkpoint(params: LayeredFieldParams, path, meta: dict | None = None) -> None:
+def save_checkpoint(params: LayeredFieldParams, path, meta: dict | None = None) -> str:
     """One file, written whole: the magic 'LMF2', the little-endian u32 length
     of a sorted-key UTF-8 JSON header {"blocks": [[name, shape], ...],
     "config": ..., "meta": ...}, then every block as raw little-endian float64
-    in BLOCK_NAMES order.
+    in BLOCK_NAMES order. Returns the file's SHA-256.
     """
     header = {
         "blocks": [[name, list(params.blocks[name].shape)] for name in BLOCK_NAMES],
@@ -537,7 +537,7 @@ def save_checkpoint(params: LayeredFieldParams, path, meta: dict | None = None) 
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [_MAGIC, len(head).to_bytes(4, "little"), head]
     parts += [np.ascontiguousarray(params.blocks[name], dtype="<f8").tobytes() for name in BLOCK_NAMES]
-    imgio.write_bytes(path, b"".join(parts))
+    return imgio.write_bytes(path, b"".join(parts))
 
 
 def _checked_keys(d, cls, where: str) -> dict:

@@ -204,8 +204,8 @@ _CSV_HEADER = (
 )
 
 
-def save_cameras(path, poses: Iterable[CameraPose]) -> None:
-    """Write a camera trajectory CSV: t, row-major rotation, translation, intrinsics.
+def save_cameras(path, poses: Iterable[CameraPose]) -> str:
+    """Write a camera trajectory CSV (t, row-major rotation, translation, intrinsics); returns its SHA-256.
 
     Row t is the camera of frame t; the t column holds that position.
     """
@@ -216,7 +216,7 @@ def save_cameras(path, poses: Iterable[CameraPose]) -> None:
         + [f"{v:.17g}" for v in (p.fx, p.fy, p.cx, p.cy)]
         for t, p in enumerate(poses)
     ]
-    imgio.write_bytes(path, imgio.encode_csv(rows))
+    return imgio.write_bytes(path, imgio.encode_csv(rows))
 
 
 def load_cameras(path) -> list[CameraPose]:

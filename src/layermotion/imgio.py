@@ -2,7 +2,8 @@
 
 `write_bytes(path, data)` writes every file: it creates the parent
 directory, writes a temporary sibling and `os.replace`s it into place, so a
-reader never sees a partial file. It does not fsync. `read_bytes(path)`
+reader never sees a partial file. It does not fsync. It and every writer on
+it return the SHA-256 of the bytes written. `read_bytes(path)`
 reads every file whole; any `OSError` (a missing file, a directory in its
 place) becomes `DataError`. The codecs on top of them:
 PPM (P6) and PGM (P5) images map byte = round(255 * clip(v, 0, 1)), and
@@ -15,6 +16,7 @@ UTF-8, whatever the locale.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -26,8 +28,8 @@ import numpy as np
 from .errors import DataError
 
 
-def write_bytes(path, data: bytes) -> None:
-    """Write `data` to `path` whole, or leave `path` as it was."""
+def write_bytes(path, data: bytes) -> str:
+    """Write `data` to `path` whole, or leave `path` as it was; returns sha256(data) in hex."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -38,6 +40,7 @@ def write_bytes(path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def read_bytes(path) -> bytes:
@@ -77,20 +80,20 @@ def _encode_pnm(magic: str, img: np.ndarray) -> bytes:
     return f"{magic}\n{w} {h}\n255\n".encode("ascii") + _to_u8(img).tobytes()
 
 
-def write_ppm(path, rgb: np.ndarray) -> None:
+def write_ppm(path, rgb: np.ndarray) -> str:
     """Write an (H, W, 3) float image in [0, 1] as binary PPM (P6)."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DataError(f"PPM payload must be (H, W, 3), got {rgb.shape}")
-    write_bytes(path, _encode_pnm("P6", rgb))
+    return write_bytes(path, _encode_pnm("P6", rgb))
 
 
-def write_pgm(path, gray: np.ndarray) -> None:
+def write_pgm(path, gray: np.ndarray) -> str:
     """Write an (H, W) float image in [0, 1] as binary PGM (P5)."""
     gray = np.asarray(gray)
     if gray.ndim != 2:
         raise DataError(f"PGM payload must be (H, W), got {gray.shape}")
-    write_bytes(path, _encode_pnm("P5", gray))
+    return write_bytes(path, _encode_pnm("P5", gray))
 
 
 def _read_pnm(path, magic: bytes) -> np.ndarray:
@@ -137,8 +140,8 @@ def read_pgm(path) -> np.ndarray:
     return _read_pnm(path, b"P5")
 
 
-def write_f64(path, arr: np.ndarray) -> None:
-    write_bytes(path, np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def write_f64(path, arr: np.ndarray) -> str:
+    return write_bytes(path, np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_f64(path, shape) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ import pytest
 from layermotion import imgio
 from layermotion.cli import main, read_config_file, sha256_file
 from layermotion.errors import ConfigError
-from layermotion.fields import FieldConfig, FrustumSpec, save_checkpoint, zero_params
+from layermotion.fields import FieldConfig, FrustumSpec, load_checkpoint, save_checkpoint, zero_params
 
 TINY = [
     "--scene", "mini:6x24x24",
@@ -371,6 +372,41 @@ def test_refined_checkpoint_of_a_replaced_model(mini_ws, tmp_path, capsys):
         assert err.startswith("bad artifact: ") and "model_refined.lmf: refined from another model.lmf" in err
 
 
+def test_a_refined_checkpoint_without_a_lineage_record(mini_ws, tmp_path, capsys):
+    # A refined checkpoint as refine once wrote it: the scalar model_sha256,
+    # right for the current model.lmf, and no lineage record.
+    ws = tmp_path / "ws"
+    shutil.copytree(mini_ws, ws)
+    refined = ws / "checkpoints" / "model_refined.lmf"
+    params, meta = load_checkpoint(refined)
+    del meta["lineage"]
+    save_checkpoint(params, refined, dict(meta, model_sha256=sha256_file(ws / "checkpoints" / "model.lmf")))
+    for sub in ("render", "eval"):
+        capsys.readouterr()
+        assert run([sub, "--workspace", ws] + TINY) == 3, sub
+        err = capsys.readouterr().err
+        assert err.startswith("bad artifact: ") and "rerun refine" in err
+
+
+def test_a_failed_write_is_exit_1(mini_ws, tmp_path, capsys, monkeypatch):
+    # Once escaped `main` as a raw OSError.
+    ws = tmp_path / "ws"
+    shutil.copytree(mini_ws, ws)
+    before = (ws / "checkpoints" / "model.lmf").read_bytes()
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(dst))
+
+    monkeypatch.setattr(imgio.os, "replace", disk_full)
+    capsys.readouterr()
+    assert run(["train", "--workspace", ws] + TINY) == 1
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "No space left on device" in err
+    assert (ws / "checkpoints" / "model.lmf").read_bytes() == before
+    assert list(ws.rglob("*.tmp")) == []
+
+
 def test_a_failed_checkpoint_write_leaves_a_whole_checkpoint(tmp_path, capsys, monkeypatch):
     # The disk fills after the first write under checkpoints/ of a retrain.
     # Eval then scores the old model or the new one, each under its label;
@@ -415,9 +451,10 @@ class TestRenderSource:
         source = mini_ws / "renders" / "source.json"
         dumps = sorted(mini_ws.glob("renders/mask_*.f64"))
         assert len(dumps) == 12
+        written = [p for p in mini_ws.glob("renders/*") if p != source]
         assert json.loads(source.read_text()) == {
-            "checkpoint": "checkpoints/model_refined.lmf", "sha256": sha256_file(ckpt),
-            "mask_dumps": {p.relative_to(mini_ws).as_posix(): sha256_file(p) for p in dumps},
+            "checkpoints/model_refined.lmf": sha256_file(ckpt),
+            **{p.relative_to(mini_ws).as_posix(): sha256_file(p) for p in written},
         }
         rows = [line.split(",") for line in (mini_ws / "manifest.csv").read_text().splitlines()]
         assert ["render", "render", "renders/source.json", sha256_file(source)] in rows
@@ -442,6 +479,7 @@ class TestRenderSource:
         b"[]",
         b'{"checkpoint": "checkpoints/model_refined.lmf", "sha256": "00"}',
         b'{"checkpoint": "checkpoints/model.lmf", "sha256": "00"}',
+        "old shape",
     ])
     def test_eval_needs_a_matching_source(self, mini_ws, tmp_path, capsys, source):
         ws = tmp_path / "ws"
@@ -449,6 +487,14 @@ class TestRenderSource:
         path = ws / "renders" / "source.json"
         if source is None:
             path.unlink()
+        elif source == "old shape":
+            # The record as renders once wrote it, with every digest right.
+            dumps = sorted(ws.glob("renders/mask_*.f64"))
+            path.write_text(json.dumps({
+                "checkpoint": "checkpoints/model_refined.lmf",
+                "sha256": sha256_file(ws / "checkpoints" / "model_refined.lmf"),
+                "mask_dumps": {p.relative_to(ws).as_posix(): sha256_file(p) for p in dumps},
+            }))
         else:
             path.write_bytes(source)
         capsys.readouterr()
@@ -480,7 +526,7 @@ def _overwrite_dump(ws, name, changes):
     dump.write_bytes(values.astype("<f8").tobytes())
     source = ws / "renders" / "source.json"
     recorded = json.loads(source.read_text())
-    recorded["mask_dumps"][f"renders/{name}"] = sha256_file(dump)
+    recorded[f"renders/{name}"] = sha256_file(dump)
     source.write_text(json.dumps(recorded))
 
 
@@ -599,6 +645,39 @@ class TestPipeline:
             p = ws / rel
             assert p.exists()
             assert sha256_file(p) == digest
+
+
+def test_commands_record_their_writes_and_read_none_back(tmp_path, monkeypatch):
+    """Each command's manifest rows are exactly its writes, in write order,
+    with the digests of the bytes written; no command reads a file it wrote;
+    and eval reads each mask dump it scores once."""
+    reads, writes = [], []
+    read_bytes, write_bytes = imgio.read_bytes, imgio.write_bytes
+
+    def reading(path):
+        reads.append(Path(path))
+        return read_bytes(path)
+
+    def writing(path, data):
+        writes.append((Path(path), data))
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(imgio, "read_bytes", reading)
+    monkeypatch.setattr(imgio, "write_bytes", writing)
+    ws = tmp_path / "ws"
+    manifest = ws / "manifest.csv"
+    for sub in ("generate", "train", "refine", "render", "eval"):
+        reads.clear()
+        writes.clear()
+        rows_before = len(manifest.read_text().splitlines()) if manifest.exists() else 1
+        assert run([sub, "--workspace", ws, "--seed", 0] + TINY) == 0, sub
+        rows = [line.split(",") for line in manifest.read_text().splitlines()[rows_before:]]
+        assert [(rel, digest) for _, _, rel, digest in rows] == [
+            (p.relative_to(ws).as_posix(), hashlib.sha256(data).hexdigest()) for p, data in writes
+        ], sub
+        assert {p for p, _ in writes}.isdisjoint(reads), sub
+    dumps = [p for p in reads if p.parent.name == "renders" and p.suffix == ".f64"]
+    assert len(dumps) == 12 and len(set(dumps)) == 12
 
 
 GOLDEN = Path(__file__).parent / "golden_mini.sha256"
