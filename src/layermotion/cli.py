@@ -42,7 +42,7 @@ from .scenegen import (
     generate_scene,
     render_ground_truth,
 )
-from .trainer import RefineConfig, TrainConfig, refine, train
+from .trainer import LOG_COLUMNS, RefineConfig, TrainConfig, refine, train
 
 # Every setting, as key -> (parser, default, help). The key is the config-file
 # key, and with '_' -> '-' the flag of every subcommand. Each default is read
@@ -248,9 +248,8 @@ def cmd_train(args) -> int:
 
 
 def _write_log(path, log_rows) -> str:
-    cols = ["epoch", "step", "l_rgb", "l_pmf", "l_nmf", "l_total",
-            "grad_norm_st", "grad_norm_ss", "grad_norm_dy"]
-    return imgio.write_bytes(path, imgio.encode_csv([cols] + [[row[c] for c in cols] for row in log_rows]))
+    rows = [[row[c] for c in LOG_COLUMNS] for row in log_rows]
+    return imgio.write_bytes(path, imgio.encode_csv([LOG_COLUMNS] + rows))
 
 
 def cmd_refine(args) -> int:

@@ -459,18 +459,18 @@ def backward_eval_layers(
     d_sigma: np.ndarray,
     d_color: np.ndarray,
     d_beta: np.ndarray,
-    wrt=BLOCK_NAMES,
+    parts=tuple(PARTITION),
 ) -> dict[str, np.ndarray]:
-    """Exact adjoint of :func:`eval_layers_batch` for the blocks named in `wrt`.
+    """Exact adjoint of :func:`eval_layers_batch` for the partitions named in `parts`.
 
-    Returns gradients for exactly those blocks (default: every block). The
-    work that only feeds other blocks is skipped; e.g. without the static
-    blocks neither the `st_grid` nor the `phi0` scatter runs. A returned
-    gradient does not depend on which other blocks were requested. Frames
-    the batch does not hold get exactly zero code rows.
+    `parts` is a subset of ("st", "ss", "dy"); the result holds a gradient
+    for every block of those partitions (default: all three) and no other.
+    The work that only feeds other partitions is skipped; e.g. without "st"
+    neither the `st_grid` nor the `phi0` scatter runs. A returned gradient
+    does not depend on which other partitions were requested. Frames the
+    batch does not hold get exactly zero code rows.
     """
     b = params.blocks
-    want = set(wrt)
     pre, color = cache.pre, cache.color
     dpre = np.empty_like(pre)  # (B, 3 layers, 5 channels) pre-activation gradients
     # softplus' is sigmoid, at the density and uncertainty pre-activations
@@ -480,39 +480,30 @@ def backward_eval_layers(
     dpre_st, dpre_ss, dpre_dy = dpre[:, 0], dpre[:, 1], dpre[:, 2]
 
     grads: dict[str, np.ndarray] = {}
-    if "st_grid" in want:
+    if "st" in parts:
         grads["st_grid"] = cache.world.adjoint(b["st_grid"].shape, dpre_st)
-    if "st_head" in want:
         grads["st_head"] = dpre_st.T @ cache.phi0
-    if "ss_head" in want:
-        grads["ss_head"] = dpre_ss.T @ cache.phi0
-    if "phi0" in want:
         dphi0 = dpre_st @ b["st_head"] + dpre_ss @ b["ss_head"]
         grads["phi0"] = cache.world.adjoint(b["phi0"].shape, dphi0)
+    if "ss" in parts:
+        grads["ss_head"] = dpre_ss.T @ cache.phi0
 
     n_f = cache.frames.shape[0]
     for which, dpre_l, lookup in zip(("ss", "dy"), (dpre_ss, dpre_dy), cache.mixed):
-        grid, zmap_w, zmap_b, code = (
-            f"{which}_grids", f"{which}_zmap_w", f"{which}_zmap_b", f"code_{which}"
-        )
-        if want.isdisjoint((grid, zmap_w, zmap_b, code)):
+        if which not in parts:
             continue
         a, z, g = _mix(params, which, cache.frames)
-        shape = b[grid].shape
+        shape = b[f"{which}_grids"].shape
         # Adjoint of the table read, then of the fold `a @ g`; D is dense
         # per call and reduced here, so no caller holds it.
         d = lookup.adjoint((n_f * shape[0],) + shape[1:3] + (5,), dpre_l).reshape(n_f, g.shape[1])
-        if grid in want:
-            dg = np.einsum("fk,fx->kx", a, d)  # (K, R³·5)
-            grads[grid] = dg.reshape(shape[3], -1, 5).swapaxes(0, 1).reshape(shape)
+        dg = np.einsum("fk,fx->kx", a, d)  # (K, R³·5)
+        grads[f"{which}_grids"] = dg.reshape(shape[3], -1, 5).swapaxes(0, 1).reshape(shape)
         da = np.einsum("fx,kx->fk", d, g)  # (F, K)
-        if zmap_w in want:
-            grads[zmap_w] = da.T @ z
-        if zmap_b in want:
-            grads[zmap_b] = da.sum(axis=0)
-        if code in want:
-            grads[code] = np.zeros(b[code].shape)
-            grads[code][cache.frames] = (da @ b[zmap_w]) @ params.basis.T
+        grads[f"{which}_zmap_w"] = da.T @ z
+        grads[f"{which}_zmap_b"] = da.sum(axis=0)
+        code = grads[f"code_{which}"] = np.zeros(b[f"code_{which}"].shape)
+        code[cache.frames] = (da @ b[f"{which}_zmap_w"]) @ params.basis.T
     return grads
 
 

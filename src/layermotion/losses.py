@@ -16,9 +16,10 @@ Gradients are hand-derived end to end (quadrature, density-share mixing,
 activations, trilinear interpolation, temporal-code factors) and validated
 against central finite differences. Each chunk takes its rays in frame
 order (a stable sort of the batch by frame index), so a chunk holds a
-narrow run of frames and the per-call time-mix fold stays small. Per-ray
-contributions are accumulated chunk by chunk in a fixed order, so results
-are bit-identical for any worker count.
+narrow run of frames and the per-call time-mix fold stays small. Chunks
+run on a thread pool of the requested size, one code path for any worker
+count, and their contributions are summed in chunk order, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .fields import BLOCK_NAMES, PARTITION, LayeredFieldParams, backward_eval_layers
+from .fields import PARTITION, LayeredFieldParams, backward_eval_layers
 from .renderer import backward_composite, render_batch
 
 # Rays per reduction chunk, taken in frame order; fixed so workers cannot
@@ -117,18 +118,18 @@ def total_loss_and_gradients(
     batch: RayBatch,
     cfg: LossConfig = LossConfig(),
     workers: int = 1,
-    wrt=BLOCK_NAMES,
+    parts=tuple(PARTITION),
 ):
-    """Evaluate the enabled loss terms and exact gradients for the blocks in `wrt`.
+    """Evaluate the enabled loss terms and exact gradients for the partitions in `parts`.
 
-    Returns (LossReport, grads) where grads maps each block name in `wrt`
-    (default: every block) to an array of matching shape. Gradients of
-    blocks outside `wrt` are never computed, and the partition norms in the
-    report cover only the requested blocks. An empty `wrt` runs the forward
-    pass and the loss terms, with every finiteness check, and no backward
-    pass. Neither the losses nor a requested gradient depend on `wrt`.
-    Duplicating every ray in the batch leaves both the losses and the
-    gradients unchanged.
+    Returns (LossReport, grads) where grads maps every block of the
+    partitions named in `parts` (a subset of ("st", "ss", "dy"); default:
+    all three) to an array of matching shape. Gradients of other blocks are
+    never computed, and their partition norms in the report read 0.0. An
+    empty `parts` runs the forward pass and the loss terms, with every
+    finiteness check, and no backward pass. Neither the losses nor a
+    requested gradient depend on `parts`. Duplicating every ray in the
+    batch leaves both the losses and the gradients unchanged.
     """
     n = batch.n_rays
     if n == 0:
@@ -165,23 +166,19 @@ def total_loss_and_gradients(
             sel = fused[rows]
             sums[2] = cfg.lambda_nmf * np.sum((bundle.mask_ss * sel) ** 2)
             d_mask_ss = 2.0 * cfg.lambda_nmf * bundle.mask_ss * sel / n_fused
-        if not wrt:
+        if not parts:
             results[ci] = (sums, {})
             return
         grads = backward_eval_layers(
             params,
             field_cache,
             *backward_composite(cache, d_color, d_uncertainty, d_mask_ss, d_mask_dy),
-            wrt=wrt,
+            parts=parts,
         )
         results[ci] = (sums, grads)
 
-    if workers <= 1 or len(chunks) == 1:
-        for ci in range(len(chunks)):
-            run(ci)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(chunks))))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(len(chunks))))
 
     total_sums = np.zeros(3)
     grads: dict[str, np.ndarray] = {}

@@ -263,13 +263,16 @@ def render_frame(
 ) -> dict[str, np.ndarray]:
     """Render the full frame of `pose` at frame t through :func:`render_batch`.
 
-    Work is split into items of about RENDER_POINTS sample points, written to
-    disjoint output slices. Every pixel is computed independently of the
-    others, so results are bit-identical for any worker count and item size.
+    Work is split into items of about RENDER_POINTS sample points, run on a
+    pool of `workers` threads (at least 1) and written to disjoint output
+    slices. Every pixel is computed independently of the others, so results
+    are bit-identical for any worker count and item size.
     """
     bad = set(channels) - set(CHANNELS)
     if bad:
         raise DomainError(f"unknown render channels: {sorted(bad)}")
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
     fr = params.config.frustum
     h, w = fr.height, fr.width
     origin, nu, t_near, t_far = camera_rays(
@@ -294,13 +297,8 @@ def render_frame(
         for name in channels:
             out[name][sl] = getattr(bundle, name)
 
-    starts = range(0, n_pix, chunk)
-    if workers <= 1:
-        for s in starts:
-            run_chunk(s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_chunk, range(0, n_pix, chunk)))
     return {
         name: arr.reshape((h, w, 3) if name == "color" else (h, w))
         for name, arr in out.items()

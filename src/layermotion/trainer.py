@@ -16,6 +16,7 @@ only on the batch, so the worker count never changes the math.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass
@@ -40,6 +41,9 @@ DEFAULT_BLOCK_LR: dict[str, float] = {
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Columns of the training and refinement logs, in CSV order.
+LOG_COLUMNS = ("epoch", "step", "l_rgb", "l_pmf", "l_nmf", "l_total",
+               "grad_norm_st", "grad_norm_ss", "grad_norm_dy")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -60,6 +64,8 @@ class OptimConfig:
             raise ConfigError("rays_per_step must be positive")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be at least 2")
+        if self.workers < 1:
+            raise ConfigError("workers must be at least 1")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -147,18 +153,6 @@ class Adam:
             rate = self.lr * lr_scale * DEFAULT_BLOCK_LR.get(name, 1.0)
             blocks[name] -= rate * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
-    def snapshot(self):
-        return (
-            self.t,
-            {k: v.copy() for k, v in self.m.items()},
-            {k: v.copy() for k, v in self.v.items()},
-        )
-
-    def restore(self, snap):
-        self.t, m, v = snap[0], snap[1], snap[2]
-        self.m = {k: v_.copy() for k, v_ in m.items()}
-        self.v = {k: v_.copy() for k, v_ in v.items()}
-
 
 def cosine_lr(step: int, total_steps: int) -> float:
     """Cosine annealing factor from 1 at step 0 toward 0 at the final step."""
@@ -205,27 +199,22 @@ def train(params: LayeredFieldParams, dataset, cfg: TrainConfig):
 
 
 def _log_row(epoch: int, step: int, report: LossReport) -> dict:
-    return {
-        "epoch": epoch,
-        "step": step,
-        "l_rgb": report.l_rgb,
-        "l_pmf": report.l_pmf,
-        "l_nmf": report.l_nmf,
-        "l_total": report.l_total,
-        "grad_norm_st": report.grad_norms["st"],
-        "grad_norm_ss": report.grad_norms["ss"],
-        "grad_norm_dy": report.grad_norms["dy"],
-    }
+    norms = (report.grad_norms[part] for part in PARTITION)
+    values = (epoch, step, report.l_rgb, report.l_pmf, report.l_nmf, report.l_total, *norms)
+    return dict(zip(LOG_COLUMNS, values))
 
 
 def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
     """Test-time refinement of the semi-static and dynamic partitions only.
 
     Returns (refined params, log rows, accepted probe losses). Each step
-    differentiates only the semi-static and dynamic blocks, so the static
-    adjoint is never computed and the static partition of the result is
+    differentiates only the "ss" and "dy" partitions, so the static adjoint
+    is never computed and the static partition of the result is
     bit-identical to the input; the `grad_norm_st` log column reads 0.0.
-    Guard probes evaluate the loss without any backward pass.
+    Guard probes evaluate the loss without any backward pass. Each round
+    starts from a deep copy of the trainable blocks and the optimizer, and a
+    rolled-back round puts that copy back; the static blocks are never
+    copied or replaced.
     """
     frames = refinement_set(cfg.frames, cfg.neighbors, dataset.n_frames)
     params = params.copy()
@@ -233,7 +222,7 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
     if cfg.steps == 0:
         return params, log, []
     pool = dataset.pixel_ids_for_frames(frames)
-    trainable = list(PARTITION["ss"]) + list(PARTITION["dy"])
+    trainable = PARTITION["ss"] + PARTITION["dy"]
     opt = Adam(trainable, cfg.learning_rate)
 
     probe_rng = np.random.default_rng([cfg.seed, 17])
@@ -242,21 +231,15 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
 
     def probe_loss() -> float:
         report, _ = total_loss_and_gradients(
-            params, probe_batch, cfg.loss, cfg.workers, wrt=()
+            params, probe_batch, cfg.loss, cfg.workers, parts=()
         )
         return report.l_total
 
-    def snapshot():
-        return (
-            {name: params.blocks[name].copy() for name in trainable},
-            opt.snapshot(),
-        )
-
     accepted = [probe_loss()]
     lr_scale = 1.0
-    snap = snapshot()
     step = 0
     while step < cfg.steps:
+        saved = copy.deepcopy(({name: params.blocks[name] for name in trainable}, opt))
         round_steps = min(GUARD_EVERY, cfg.steps - step)
         for _ in range(round_steps):
             rng = np.random.default_rng([cfg.seed, 23, step])
@@ -265,7 +248,7 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
                 ids, cfg.n_samples, stratified=True, seed=[cfg.seed, 29, step]
             )
             report, grads = total_loss_and_gradients(
-                params, batch, cfg.loss, cfg.workers, wrt=trainable
+                params, batch, cfg.loss, cfg.workers, parts=("ss", "dy")
             )
             opt.step(params.blocks, grads, lr_scale)
             log.append(_log_row(-1, step, report))
@@ -273,12 +256,10 @@ def refine(params: LayeredFieldParams, dataset, cfg: RefineConfig):
         new_loss = probe_loss()
         if new_loss <= accepted[-1] + 1e-12:
             accepted.append(new_loss)
-            snap = snapshot()
         else:
             # Roll the round back and retry more cautiously.
-            for name, saved in snap[0].items():
-                params.blocks[name][...] = saved
-            opt.restore(snap[1])
+            blocks, opt = saved
+            params.blocks.update(blocks)
             lr_scale *= 0.5
             accepted.append(accepted[-1])
     return params, log, accepted

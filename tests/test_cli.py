@@ -408,9 +408,9 @@ def test_a_failed_write_is_exit_1(mini_ws, tmp_path, capsys, monkeypatch):
 
 
 def test_a_failed_checkpoint_write_leaves_a_whole_checkpoint(tmp_path, capsys, monkeypatch):
-    # The disk fills after the first write under checkpoints/ of a retrain.
-    # Eval then scores the old model or the new one, each under its label;
-    # with a separate sidecar it once scored the new blocks as ND.
+    # The disk fills at the checkpoint write of a retrain: train exits 1 and
+    # eval scores the old model under its own label. With a separate sidecar
+    # it once scored the new blocks as ND.
     ws, copy = tmp_path / "ws", tmp_path / "copy"
     base = ["--seed", 1] + TINY
     assert run(["generate", "--workspace", ws] + base) == 0
@@ -431,18 +431,15 @@ def test_a_failed_checkpoint_write_leaves_a_whole_checkpoint(tmp_path, capsys, m
 
     def disk_fills(path, data):
         if "checkpoints" in Path(path).parts:
-            if written:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-            written.append(path)
+            written.append(Path(path))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
         write_bytes(path, data)
 
     monkeypatch.setattr(imgio, "write_bytes", disk_fills)
-    try:
-        run(["train", "--workspace", ws] + base)
-    except OSError:
-        pass
+    assert run(["train", "--workspace", ws] + base) == 1
     monkeypatch.undo()
-    assert table(ws) in (before, retrained)
+    assert written == [ws / "checkpoints" / "model.lmf"]
+    assert table(ws) == before
 
 
 class TestRenderSource:

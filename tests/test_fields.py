@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -286,11 +287,11 @@ class TestFoldedAdjoint:
     The fold reorders the sums, so the two agree to rounding, not bit for bit.
     """
 
-    # the `wrt` sets of TestBackwardSubset
-    WRT = [BLOCK_NAMES, PARTITION["ss"] + PARTITION["dy"], ()] + [(n,) for n in BLOCK_NAMES]
+    # every subset of the partitions, the 8 values `parts` takes
+    PARTS = [c for r in range(4) for c in itertools.combinations(PARTITION, r)]
 
     @staticmethod
-    def check(params, pts, pts_cam, t_idx, wrt):
+    def check(params, pts, pts_cam, t_idx, parts):
         rng = np.random.default_rng(len(t_idx))
         upstream = (
             rng.standard_normal((len(t_idx), 3)),
@@ -298,10 +299,11 @@ class TestFoldedAdjoint:
             rng.standard_normal((len(t_idx), 3)),
         )
         *_, cache = eval_layers_batch(params, pts, pts_cam, t_idx)
-        got = backward_eval_layers(params, cache, *upstream, wrt=wrt)
-        want = naive_unfolded_gradients(params, pts, pts_cam, t_idx, *upstream, wrt=wrt)
-        assert set(got) == set(want) == set(wrt)
-        for name in wrt:
+        blocks = [name for part in parts for name in PARTITION[part]]
+        got = backward_eval_layers(params, cache, *upstream, parts=parts)
+        want = naive_unfolded_gradients(params, pts, pts_cam, t_idx, *upstream, wrt=blocks)
+        assert set(got) == set(want) == set(blocks)
+        for name in blocks:
             assert got[name].shape == want[name].shape
             err = np.abs(got[name] - want[name]).max()
             assert err <= 1e-12 * np.abs(want[name]).max(), (name, err)
@@ -310,13 +312,13 @@ class TestFoldedAdjoint:
     @pytest.mark.parametrize("n_frames", [1, 2, 6])
     def test_every_block_and_subset(self, n_frames):
         params, pts, pts_cam, t_idx = mixed_frame_case(n_frames, n=160, seed=51)
-        for wrt in self.WRT:
-            self.check(params, pts, pts_cam, t_idx, wrt)
+        for parts in self.PARTS:
+            self.check(params, pts, pts_cam, t_idx, parts)
 
     def test_frames_outside_the_batch_get_zero_code_rows(self):
         params, pts, pts_cam, t_idx = mixed_frame_case(6, n=160, seed=52)
         t_idx = np.where(t_idx % 2 == 0, 1, 4)  # only frames 1 and 4
-        grads = self.check(params, pts, pts_cam, t_idx, BLOCK_NAMES)
+        grads = self.check(params, pts, pts_cam, t_idx, tuple(PARTITION))
         for code in ("code_ss", "code_dy"):
             assert np.all(grads[code][[0, 2, 3, 5]] == 0.0)
             assert np.all(grads[code][[1, 4]] != 0.0)
@@ -396,23 +398,24 @@ class TestBackwardSubset:
         assert cache.n_points == 80  # read by perfbench/tracer.py
         full = backward_eval_layers(params, cache, *upstream)
         assert set(full) == set(BLOCK_NAMES)
-        wrt = PARTITION["ss"] + PARTITION["dy"]
-        part = backward_eval_layers(params, cache, *upstream, wrt=wrt)
-        assert set(part) == set(wrt)
-        for name in wrt:
+        blocks = PARTITION["ss"] + PARTITION["dy"]
+        part = backward_eval_layers(params, cache, *upstream, parts=("ss", "dy"))
+        assert set(part) == set(blocks)
+        for name in blocks:
             np.testing.assert_array_equal(part[name], full[name])
 
-    def test_each_single_block(self):
+    def test_each_single_partition(self):
         params, cache, upstream = self.cached_eval(small_config(), 30)
         full = backward_eval_layers(params, cache, *upstream)
-        for name in BLOCK_NAMES:
-            one = backward_eval_layers(params, cache, *upstream, wrt=(name,))
-            assert list(one) == [name]
-            np.testing.assert_array_equal(one[name], full[name])
+        for part, blocks in PARTITION.items():
+            one = backward_eval_layers(params, cache, *upstream, parts=(part,))
+            assert set(one) == set(blocks)
+            for name in blocks:
+                np.testing.assert_array_equal(one[name], full[name])
 
     def test_empty_set(self):
         params, cache, upstream = self.cached_eval(small_config(), 40)
-        assert backward_eval_layers(params, cache, *upstream, wrt=()) == {}
+        assert backward_eval_layers(params, cache, *upstream, parts=()) == {}
 
 
 class TestParameterPartition:

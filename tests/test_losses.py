@@ -177,7 +177,7 @@ class TestTotalLossAndGradients:
         cfg = small_config()
         params = randomized_params(cfg, seed=25)
         batch = make_batch(cfg, n_rays=40, seed=26)
-        report, _ = total_loss_and_gradients(params, batch, LossConfig(), wrt=())
+        report, _ = total_loss_and_gradients(params, batch, LossConfig(), parts=())
         pts, pts_cam = batch.points(slice(None))
         out, _, _ = render_batch(params, pts, pts_cam, batch.deltas, batch.t_idx)
         fused = batch.mask_values >= LossConfig().threshold
@@ -306,7 +306,7 @@ class TestGradientSubset:
         params = randomized_params(cfg, seed=21)
         batch = make_batch(cfg, n_rays=600, n_samples=3, seed=22)
         full, _ = total_loss_and_gradients(params, batch, LossConfig(), workers=2)
-        probe, grads = total_loss_and_gradients(params, batch, LossConfig(), workers=2, wrt=())
+        probe, grads = total_loss_and_gradients(params, batch, LossConfig(), workers=2, parts=())
         assert grads == {}
         for field in ("l_rgb", "l_pmf", "l_nmf", "l_total", "n_fused"):
             assert getattr(probe, field) == getattr(full, field)
@@ -316,11 +316,13 @@ class TestGradientSubset:
         cfg = small_config()
         params = randomized_params(cfg, seed=23)
         batch = make_batch(cfg, n_rays=600, n_samples=3, seed=24)
-        wrt = PARTITION["ss"] + PARTITION["dy"]
+        blocks = PARTITION["ss"] + PARTITION["dy"]
         r_full, g_full = total_loss_and_gradients(params, batch, LossConfig(), workers=2)
-        r_part, g_part = total_loss_and_gradients(params, batch, LossConfig(), workers=2, wrt=wrt)
-        assert set(g_part) == set(wrt)
-        for name in wrt:
+        r_part, g_part = total_loss_and_gradients(
+            params, batch, LossConfig(), workers=2, parts=("ss", "dy")
+        )
+        assert set(g_part) == set(blocks)
+        for name in blocks:
             np.testing.assert_array_equal(g_part[name], g_full[name])
         assert r_part.l_total == r_full.l_total
         assert r_part.grad_norms["st"] == 0.0

@@ -373,6 +373,14 @@ class TestRenderFrame:
         with pytest.raises(DomainError):
             render_frame(params, pose, t=0, channels=("color", "depth"))
 
+    def test_workers_must_be_positive(self):
+        # Zero once rendered serially; it is a typed error, as on the CLI.
+        params = zero_params(small_config())
+        pose = look_at((0.7, 0.0, 0.0), (0, 0, 0), fx=8, fy=8, cx=3.5, cy=3.5)
+        for workers in (0, -1):
+            with pytest.raises(DomainError, match="workers"):
+                render_frame(params, pose, t=0, workers=workers)
+
 
 @pytest.mark.slow
 def test_baked_scene_matches_analytic_ground_truth(bench_scene, bench_gt, bench_dataset):

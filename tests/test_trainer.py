@@ -102,7 +102,7 @@ class TestTrain:
     def test_config_validation(self):
         for bad in (
             dict(learning_rate=0.0), dict(epochs=0), dict(epochs=-1), dict(n_samples=1),
-            dict(steps_per_epoch=0), dict(steps_per_epoch=-3),
+            dict(steps_per_epoch=0), dict(steps_per_epoch=-3), dict(workers=0),
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
@@ -114,7 +114,7 @@ class TestTrain:
     def test_refine_config_shares_the_checks(self):
         for bad in (
             dict(learning_rate=0.0), dict(rays_per_step=0), dict(n_samples=1),
-            dict(neighbors=-1), dict(steps=-1),
+            dict(neighbors=-1), dict(steps=-1), dict(workers=0),
         ):
             with pytest.raises(ConfigError):
                 RefineConfig(frames=(0,), **bad)
@@ -176,6 +176,35 @@ class TestRefine:
         )
         assert len(probes) == 1 + 100 // GUARD_EVERY  # the initial probe plus four rounds
         assert all(b <= a + 1e-12 for a, b in zip(probes, probes[1:]))
+
+    @pytest.mark.parametrize("lr, rolled_back", [
+        (1.0, [True, True, True, True]),
+        (0.1, [True, False, False, False]),
+    ], ids=["every_round", "first_round"])
+    def test_rolled_back_rounds(self, tiny_dataset, trained, monkeypatch, lr, rolled_back):
+        steps, adam_step = [], Adam.step
+
+        def recording_step(self, blocks, grads, lr_scale=1.0):
+            steps.append((lr_scale, self.t))
+            adam_step(self, blocks, grads, lr_scale)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        cfg = RefineConfig(frames=(0, 2, 4), steps=100, rays_per_step=128, n_samples=6,
+                           learning_rate=lr, seed=4)
+        out, _, probes = refine(trained, tiny_dataset, cfg)
+        # A rolled-back round repeats the last accepted loss, halves the rate
+        # and takes the optimizer back to its step count at the round's start.
+        assert [b == a for a, b in zip(probes, probes[1:])] == rolled_back
+        assert all(b < a for a, b, back in zip(probes, probes[1:], rolled_back) if not back)
+        rounds = [(0.5 ** sum(rolled_back[:i]), GUARD_EVERY * rolled_back[:i].count(False))
+                  for i in range(len(rolled_back))]
+        assert steps == [(rate, t + k) for rate, t in rounds for k in range(GUARD_EVERY)]
+        assert partition_digest(out, "st") == partition_digest(trained, "st")
+        again, _, _ = refine(trained, tiny_dataset, cfg)
+        for name in out.blocks:
+            assert out.blocks[name].tobytes() == again.blocks[name].tobytes()
+            if all(rolled_back):
+                assert out.blocks[name].tobytes() == trained.blocks[name].tobytes()
 
     def test_deterministic(self, tiny_dataset, trained):
         cfg = RefineConfig(frames=(1,), steps=10, rays_per_step=128, n_samples=6, seed=5)
