@@ -134,6 +134,8 @@ def total_loss_and_gradients(
     n = batch.n_rays
     if n == 0:
         raise DomainError("empty ray batch")
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
     fused = batch.mask_values >= cfg.threshold
     n_fused = int(fused.sum())
 

@@ -141,6 +141,13 @@ class TestNmfLoss:
 
 
 class TestTotalLossAndGradients:
+    def test_workers_must_be_positive(self):
+        # Zero once ran serially; the one thread-pool path needs at least one.
+        cfg = small_config()
+        batch = make_batch(cfg, n_rays=4, seed=3)
+        with pytest.raises(DomainError, match="workers"):
+            total_loss_and_gradients(randomized_params(cfg, seed=3), batch, LossConfig(), workers=0)
+
     def test_zero_density_pmf_only_all_gradients_zero(self):
         cfg = small_config()
         params = randomized_params(cfg, seed=5)
