@@ -204,6 +204,8 @@ def _optim_settings(cfg: dict) -> dict:
 
 def _label(meta: dict) -> str:
     names = meta.get("losses", ["rgb"])
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise DataError(f"checkpoint meta: losses must be a list of loss names, got {names!r}")
     label = "ND"
     if meta.get("refined"):
         label += "+TR"

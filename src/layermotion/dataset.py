@@ -20,7 +20,7 @@ import numpy as np
 
 from . import imgio
 from .errors import DataError, MissingArtifactError
-from .fields import FieldConfig, FrustumSpec, check_world_box
+from .fields import FieldConfig, FrustumSpec, check_world_box, is_int
 from .geometry import CameraPose, camera_rays, load_cameras, save_cameras
 from .losses import RayBatch
 from .renderer import sample_depths
@@ -199,22 +199,18 @@ def write_dataset(
     return written
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _read_meta(path: Path) -> dict:
     """meta.json, checked for every key that loading and ray building read."""
     if not path.exists():
         raise MissingArtifactError(f"dataset meta not found: {path}")
     meta = imgio.read_json(path)
     t_total = meta.get("n_frames")
-    if not _is_int(t_total) or t_total < 1:
+    if not is_int(t_total) or t_total < 1:
         raise DataError(f"{path}: n_frames must be a positive integer, got {t_total!r}")
     check_world_box(meta.get("world_lo"), meta.get("world_hi"), str(path))
     if "eval_frames" in meta:  # absent: every frame
         frames = meta["eval_frames"]
-        if not (isinstance(frames, list) and all(_is_int(t) and 0 <= t < t_total for t in frames)):
+        if not (isinstance(frames, list) and all(is_int(t) and 0 <= t < t_total for t in frames)):
             raise DataError(f"{path}: eval_frames must be frame indices in [0, {t_total})")
         if not frames or len(set(frames)) < len(frames):
             raise DataError(f"{path}: eval_frames must be non-empty and name each frame once, got {frames}")

@@ -468,8 +468,11 @@ def backward_eval_layers(
     The work that only feeds other partitions is skipped; e.g. without "st"
     neither the `st_grid` nor the `phi0` scatter runs. A returned gradient
     does not depend on which other partitions were requested. Frames the
-    batch does not hold get exactly zero code rows.
+    batch does not hold get exactly zero code rows. Any other name in `parts`
+    raises `DomainError`.
     """
+    if set(parts) - set(PARTITION):
+        raise DomainError(f"unknown partitions {sorted(set(parts) - set(PARTITION))}; use st, ss, dy")
     b = params.blocks
     pre, color = cache.pre, cache.color
     dpre = np.empty_like(pre)  # (B, 3 layers, 5 channels) pre-activation gradients
@@ -531,7 +534,13 @@ def save_checkpoint(params: LayeredFieldParams, path, meta: dict | None = None) 
     return imgio.write_bytes(path, b"".join(parts))
 
 
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _checked_keys(d, cls, where: str) -> dict:
+    """`d` if it holds exactly the fields of `cls`, an int in every `int`
+    field and a finite number in every `float` field; else `DataError`."""
     if not isinstance(d, dict):
         raise DataError(f"{where} is not a JSON object")
     want = {f.name for f in fields(cls)}
@@ -539,6 +548,12 @@ def _checked_keys(d, cls, where: str) -> dict:
         raise DataError(
             f"{where}: unknown keys {sorted(set(d) - want)}, missing keys {sorted(want - set(d))}"
         )
+    for f in fields(cls):
+        v = d[f.name]
+        if f.type == "int" and not is_int(v):
+            raise DataError(f"{where}: {f.name} must be an integer, got {v!r}")
+        if f.type == "float" and not _is_finite_number(v):
+            raise DataError(f"{where}: {f.name} must be a finite number, got {v!r}")
     return dict(d)
 
 

@@ -3,9 +3,9 @@
 Conventions, fixed once and asserted by round-trip tests:
   * world -> camera is x_cam = R @ x + t; the camera looks down -z in its
     own frame.
-  * a ray is the curve x(tau) = origin - direction * tau with tau >= 0, so
-    `direction` points opposite the viewing direction and marching forward
-    along the ray means subtracting.
+  * a ray is the curve x(tau) = origin - nu * tau with tau >= 0, so `nu`
+    points opposite the viewing direction and marching forward along the
+    ray means subtracting.
 """
 
 from __future__ import annotations
@@ -65,33 +65,6 @@ class CameraPose:
         return -self.rotation.T @ self.translation
 
 
-@dataclass(frozen=True)
-class Ray:
-    """Parametric ray x(tau) = origin - direction * tau, tau in [t_near, t_far]."""
-
-    origin: np.ndarray  # (3,)
-    direction: np.ndarray  # (3,), unit norm
-    t_near: float = 0.0
-    t_far: float = np.inf
-
-    def __post_init__(self):
-        o = _as_vec3(self.origin)
-        d = _as_vec3(self.direction)
-        if abs(np.linalg.norm(d) - 1.0) > ORTHO_TOL:
-            raise DomainError("ray direction must be unit length within 1e-9")
-        if not (0.0 <= self.t_near < self.t_far):
-            raise DomainError("require 0 <= t_near < t_far")
-        o.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-    def point_at(self, tau):
-        """Point(s) on the ray; `tau` may be scalar or an array."""
-        tau = np.asarray(tau, dtype=np.float64)
-        return self.origin - tau[..., None] * self.direction
-
-
 def world_to_camera(pose: CameraPose, x) -> np.ndarray:
     """Map world point(s) x (..., 3) into camera coordinates."""
     x = np.asarray(x, dtype=np.float64)
@@ -134,11 +107,20 @@ def slab_interval(origins, march, lo, hi):
     return t_lo.max(axis=-1), t_hi.min(axis=-1)
 
 
-def ray_through_pixel(pose: CameraPose, pixel: tuple[float, float]) -> Ray:
-    """Back-project pixel (u_x, u_y) to a world-space ray through the camera center."""
-    ux, uy = float(pixel[0]), float(pixel[1])
-    # x(tau) = origin - direction*tau must march along the viewing direction.
-    return Ray(origin=pose.center, direction=-pixel_directions(pose, ux, uy))
+def ray_through_pixel(pose: CameraPose, pixel: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Origin and direction nu of the ray through pixel (u_x, u_y), as `camera_rays` gives them."""
+    return pose.center, -pixel_directions(pose, float(pixel[0]), float(pixel[1]))
+
+
+def clip_to_box(origin, nu, lo, hi):
+    """(t_near, t_far) of rays origin - nu * tau clipped to the box [lo, hi].
+
+    Broadcasts like :func:`slab_interval`. A ray that misses the box gets
+    a span too, so a frame renders every pixel.
+    """
+    enter, exit_ = slab_interval(origin, -nu, lo, hi)
+    t_near = np.maximum(enter, NEAR_EPS)
+    return t_near, np.maximum(exit_, t_near + MIN_SPAN)
 
 
 def camera_rays(pose: CameraPose, width: int, height: int, world_lo, world_hi):
@@ -148,31 +130,9 @@ def camera_rays(pose: CameraPose, width: int, height: int, world_lo, world_hi):
     Flattened row-major over pixels: index iy * width + ix.
     """
     uy, ux = np.mgrid[0:height, 0:width].astype(np.float64)
-    march = pixel_directions(pose, ux, uy).reshape(-1, 3)
+    nu = -pixel_directions(pose, ux, uy).reshape(-1, 3)
     origin = pose.center
-    enter, exit_ = slab_interval(origin, march, world_lo, world_hi)
-    t_near = np.maximum(enter, NEAR_EPS)
-    t_far = np.maximum(exit_, t_near + MIN_SPAN)
-    return origin, -march, t_near, t_far
-
-
-def clip_ray_to_box(ray: Ray, lo, hi) -> Ray:
-    """Restrict [t_near, t_far] to the ray's overlap with an axis-aligned box.
-
-    Uses the constants of :func:`camera_rays`, so a clipped single ray
-    renders identically to the corresponding frame pixel.
-    """
-    enter, exit_ = slab_interval(ray.origin, -ray.direction, _as_vec3(lo), _as_vec3(hi))
-    enter, exit_ = float(enter), float(exit_)
-    if exit_ <= max(enter, 0.0):
-        raise DomainError("ray does not intersect the box")
-    t_near = max(enter, NEAR_EPS)
-    return Ray(
-        origin=ray.origin,
-        direction=ray.direction,
-        t_near=t_near,
-        t_far=max(exit_, t_near + MIN_SPAN),
-    )
+    return (origin, nu) + clip_to_box(origin, nu, world_lo, world_hi)
 
 
 def look_at(position, target, **intrinsics) -> CameraPose:

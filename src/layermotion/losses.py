@@ -53,8 +53,8 @@ class LossConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
-        if self.lambda_pmf < 0 or self.lambda_nmf < 0:
-            raise ConfigError("lambda_pmf and lambda_nmf must be non-negative")
+        if not (0 <= self.lambda_pmf < np.inf and 0 <= self.lambda_nmf < np.inf):
+            raise ConfigError("lambda_pmf and lambda_nmf must be finite and non-negative")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
         unknown = set(self.terms) - set(LOSS_TERMS)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, RenderError
 from .fields import LayeredFieldParams, eval_layers_batch
-from .geometry import CameraPose, Ray, camera_rays, clip_ray_to_box, world_to_camera
+from .geometry import ORTHO_TOL, CameraPose, camera_rays, clip_to_box, world_to_camera
 
 EPS_SIGMA = 1e-12
 DELTA_CAP = 8.0  # pseudo-width of the last sample, meters
@@ -234,19 +234,22 @@ def render_batch(
 
 def render_ray(
     params: LayeredFieldParams,
-    ray: Ray,
+    ray: tuple[np.ndarray, np.ndarray],
     pose: CameraPose,
     t: int,
     n_samples: int = RENDER_SAMPLES,
 ) -> RenderBundle:
-    """Render one ray of `pose` at frame t.
+    """Render one `ray_through_pixel` ray (origin, nu) of `pose` at frame t.
 
-    The ray is clipped to the world box first, as :func:`render_frame` clips
-    its pixel rays; pass a `ray_through_pixel` ray.
+    The ray is clipped to the world box by `clip_to_box`, as
+    :func:`render_frame` clips its pixel rays, so it renders as that pixel.
     """
-    ray = clip_ray_to_box(ray, params.config.world_lo, params.config.world_hi)
-    depths, deltas = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), n_samples)
-    pts = ray.point_at(depths[0])
+    origin, nu = ray
+    if abs(np.linalg.norm(nu) - 1.0) > ORTHO_TOL:
+        raise DomainError("ray direction must be unit length within 1e-9")
+    t_near, t_far = clip_to_box(origin, nu, params.config.world_lo, params.config.world_hi)
+    depths, deltas = sample_depths(t_near, t_far, n_samples)
+    pts = origin - nu * depths[0][:, None]
     bundle, _, _ = render_batch(
         params, pts[None], world_to_camera(pose, pts)[None], deltas, np.array([t])
     )

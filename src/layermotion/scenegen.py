@@ -220,6 +220,8 @@ class SceneConfig:
             raise ConfigError("recall must lie in (0, 1]")
         if not 0.0 <= self.fpr < 1.0:
             raise ConfigError("fpr must lie in [0, 1)")
+        if self.eval_stride < 1:
+            raise ConfigError("eval_stride must be at least 1")
 
     def eval_frames(self) -> tuple[int, ...]:
         return tuple(range(0, self.n_frames, self.eval_stride))

@@ -58,8 +58,8 @@ class OptimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and positive")
         if self.rays_per_step < 1:
             raise ConfigError("rays_per_step must be positive")
         if self.n_samples < 2:

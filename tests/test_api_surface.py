@@ -57,7 +57,7 @@ def test_the_scan_sees_definitions():
 # pins and says why; one that removes a knob lowers them.
 CONFIG_FIELDS = 38
 DEFAULTED_PARAMETERS = 22
-DATACLASS_DEFAULTS = 17
+DATACLASS_DEFAULTS = 15
 CLI_SETTINGS = 20
 
 

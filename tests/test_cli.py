@@ -290,6 +290,12 @@ class TestFrameRange:
     ("train", "--workers", 0),
     ("render", "--workers", -3),
     ("train", "--epochs", 0),
+    ("train", "--lr", "nan"),
+    ("train", "--lr", "inf"),
+    ("refine", "--refine-lr", "nan"),
+    ("refine", "--refine-lr", "inf"),
+    ("generate", "--lambda-pmf", "nan"),
+    ("generate", "--lambda-nmf", "inf"),
 ])
 def test_out_of_range_settings_exit_2(mini_ws, capsys, sub, flag, value):
     # Each run stops before it writes, so the shared workspace stays as it was.
@@ -386,6 +392,21 @@ def test_a_refined_checkpoint_without_a_lineage_record(mini_ws, tmp_path, capsys
         assert run([sub, "--workspace", ws] + TINY) == 3, sub
         err = capsys.readouterr().err
         assert err.startswith("bad artifact: ") and "rerun refine" in err
+
+
+@pytest.mark.parametrize("losses", [5, ["rgb", 5]])
+def test_eval_rejects_malformed_losses_in_the_checkpoint(mini_ws, tmp_path, capsys, losses):
+    # 5 once died in the label as a raw TypeError; ["rgb", 5] was scored.
+    ws = tmp_path / "ws"
+    shutil.copytree(mini_ws, ws)
+    shutil.rmtree(ws / "renders")
+    refined = ws / "checkpoints" / "model_refined.lmf"
+    params, meta = load_checkpoint(refined)
+    save_checkpoint(params, refined, dict(meta, losses=losses))
+    capsys.readouterr()
+    assert run(["eval", "--workspace", ws] + TINY) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("bad artifact: ") and "losses must be a list of loss names" in err
 
 
 def test_a_failed_write_is_exit_1(mini_ws, tmp_path, capsys, monkeypatch):

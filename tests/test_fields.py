@@ -638,6 +638,25 @@ class TestCheckpointValidation:
         with pytest.raises(DataError, match="world_lo must be below world_hi on every axis"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("section, key, value, what", [
+        ("config", "grid_res", 5.0, "an integer"),
+        ("config", "n_frames", 3.0, "an integer"),
+        ("config", "n_frames", True, "an integer"),
+        ("frustum", "width", 8.0, "an integer"),
+        ("config", "beta_min", math.nan, "a finite number"),
+        ("config", "beta_min", "0.03", "a finite number"),
+        ("frustum", "near", math.inf, "a finite number"),
+    ])
+    def test_config_value_of_the_wrong_type(self, tmp_path, section, key, value, what):
+        # A float count once reached np.frombuffer as a raw TypeError, and a
+        # NaN (which JSON parsing accepts) loaded.
+        _, path, header, payload = self.saved(tmp_path)
+        config = header["config"]
+        (config if section == "config" else config["frustum"])[key] = value
+        write_lmf(path, header, payload)
+        with pytest.raises(DataError, match=f"{key} must be {what}, got"):
+            load_checkpoint(path)
+
     def test_extra_block(self, tmp_path):
         _, path, header, payload = self.saved(tmp_path)
         header["blocks"].append(["bogus", [2]])

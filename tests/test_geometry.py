@@ -6,9 +6,8 @@ import pytest
 from layermotion.errors import DataError, DomainError
 from layermotion.geometry import (
     CameraPose,
-    Ray,
     camera_rays,
-    clip_ray_to_box,
+    clip_to_box,
     load_cameras,
     look_at,
     pixel_directions,
@@ -18,7 +17,7 @@ from layermotion.geometry import (
     world_to_camera,
 )
 
-from naive_ref import camera_to_world, naive_slab
+from naive_ref import camera_to_world, naive_clip, naive_slab
 
 
 def random_rotation(rng):
@@ -49,18 +48,18 @@ def identity_pose(fx=1.0, fy=1.0, cx=0.0, cy=0.0, translation=(0, 0, 0)):
 
 class TestRayThroughPixel:
     def test_principal_point_ray(self):
-        ray = ray_through_pixel(identity_pose(), (0.0, 0.0))
-        np.testing.assert_allclose(ray.origin, [0, 0, 0], atol=1e-15)
-        # Marching x(tau) = origin - direction*tau proceeds along the view axis.
-        np.testing.assert_allclose(ray.direction, [0, 0, 1], atol=1e-15)
-        np.testing.assert_allclose(ray.point_at(2.0), [0, 0, -2.0], atol=1e-15)
+        origin, nu = ray_through_pixel(identity_pose(), (0.0, 0.0))
+        np.testing.assert_allclose(origin, [0, 0, 0], atol=1e-15)
+        # Marching x(tau) = origin - nu*tau proceeds along the view axis.
+        np.testing.assert_allclose(nu, [0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(origin - nu * 2.0, [0, 0, -2.0], atol=1e-15)
 
     def test_pure_translation(self):
         # Camera center at (1, 2, 3): x_cam = x + t with t = -center.
         pose = identity_pose(translation=(-1.0, -2.0, -3.0))
-        ray = ray_through_pixel(pose, (0.0, 0.0))
-        np.testing.assert_allclose(ray.origin, [1, 2, 3], atol=1e-15)
-        np.testing.assert_allclose(ray.direction, [0, 0, 1], atol=1e-15)
+        origin, nu = ray_through_pixel(pose, (0.0, 0.0))
+        np.testing.assert_allclose(origin, [1, 2, 3], atol=1e-15)
+        np.testing.assert_allclose(nu, [0, 0, 1], atol=1e-15)
 
     def test_round_trip_projection_oracle(self):
         # Independent check: project a far point of the ray back through the
@@ -69,8 +68,8 @@ class TestRayThroughPixel:
         for _ in range(50):
             pose = random_pose(rng)
             pixel = (17.0, 5.0)
-            ray = ray_through_pixel(pose, pixel)
-            x = ray.point_at(3.7)
+            origin, nu = ray_through_pixel(pose, pixel)
+            x = origin - nu * 3.7
             xc = pose.rotation @ x + pose.translation
             depth = -xc[2]
             assert depth > 0
@@ -84,9 +83,9 @@ class TestRayThroughPixel:
         pose = random_pose(rng)
         for _ in range(20):
             pixel = tuple(rng.uniform(0, 31, 2))
-            ray = ray_through_pixel(pose, pixel)
+            origin, nu = ray_through_pixel(pose, pixel)
             for tau in rng.uniform(0.2, 10.0, 5):
-                xc = pose.rotation @ ray.point_at(tau) + pose.translation
+                xc = pose.rotation @ (origin - nu * tau) + pose.translation
                 u = pose.fx * xc[0] / -xc[2] + pose.cx
                 v = pose.fy * xc[1] / -xc[2] + pose.cy
                 assert abs(u - pixel[0]) < 1e-6 and abs(v - pixel[1]) < 1e-6
@@ -130,22 +129,24 @@ class TestPoseValidation:
         with pytest.raises(DomainError):
             CameraPose(rotation=r, translation=np.zeros(3), fx=1, fy=1, cx=0, cy=0)
 
-    def test_ray_requires_unit_direction(self):
-        with pytest.raises(DomainError):
-            Ray(origin=np.zeros(3), direction=np.array([0.0, 0.0, 2.0]))
 
-
-class TestClipRayToBox:
+class TestClipToBox:
     def test_clip_inside_box(self):
-        ray = ray_through_pixel(identity_pose(), (0.0, 0.0))
-        clipped = clip_ray_to_box(ray, (-1, -1, -1), (1, 1, 1))
-        assert 0 < clipped.t_near < clipped.t_far
-        assert clipped.t_far == pytest.approx(1.0)
+        origin, nu = ray_through_pixel(identity_pose(), (0.0, 0.0))
+        t_near, t_far = clip_to_box(origin, nu, (-1, -1, -1), (1, 1, 1))
+        assert 0 < t_near < t_far
+        assert t_far == pytest.approx(1.0)
 
-    def test_miss_raises(self):
-        ray = Ray(origin=np.array([5.0, 5.0, 5.0]), direction=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(DomainError):
-            clip_ray_to_box(ray, (-1, -1, -1), (1, 1, 1))
+    def test_matches_naive_clip(self):
+        # Hits, misses and rays from inside the box, over a pixel grid.
+        rng = np.random.default_rng(13)
+        lo, hi = (-1.0, -0.5, 0.0), (1.0, 0.5, 2.0)
+        for _ in range(10):
+            pose = random_pose(rng)
+            origin, nu, t_near, t_far = camera_rays(pose, 6, 5, lo, hi)
+            for i in range(len(nu)):
+                ref = naive_clip(origin, nu[i], lo, hi)
+                np.testing.assert_allclose((t_near[i], t_far[i]), ref, rtol=1e-12)
 
 
 class TestSlabInterval:
@@ -209,7 +210,7 @@ class TestPixelDirections:
             pose = random_pose(rng)
             _, nu, _, _ = camera_rays(pose, 9, 7, (-1.0,) * 3, (1.0,) * 3)
             per_pixel = np.stack(
-                [ray_through_pixel(pose, (ix, iy)).direction for iy in range(7) for ix in range(9)]
+                [ray_through_pixel(pose, (ix, iy))[1] for iy in range(7) for ix in range(9)]
             )
             np.testing.assert_array_equal(nu, per_pixel)
 

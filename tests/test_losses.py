@@ -337,6 +337,13 @@ class TestGradientSubset:
         assert r_part.grad_norms["dy"] == r_full.grad_norms["dy"]
         assert set(g_full) == set(BLOCK_NAMES)
 
+    def test_unknown_partition_raises(self):
+        # Once returned no gradients and zero norms without a word.
+        cfg = small_config()
+        batch = make_batch(cfg, n_rays=8, seed=25)
+        with pytest.raises(DomainError, match="unknown partitions \\['dyn'\\]"):
+            total_loss_and_gradients(randomized_params(cfg, seed=25), batch, LossConfig(), parts=("dyn",))
+
 
 def test_tracer_spans_the_render_stack():
     # perfbench/tracer.py records spans by rebinding `render_batch`,

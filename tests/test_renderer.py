@@ -9,8 +9,9 @@ from layermotion import renderer
 from layermotion.bake import bake_scene
 from layermotion.errors import DomainError
 from layermotion.fields import softplus_inv, zero_params
-from layermotion.geometry import clip_ray_to_box, look_at, ray_through_pixel, world_to_camera
+from layermotion.geometry import look_at, ray_through_pixel, slab_interval, world_to_camera
 from layermotion.renderer import (
+    CHANNELS,
     DELTA_CAP,
     RENDER_POINTS,
     backward_composite,
@@ -21,7 +22,7 @@ from layermotion.renderer import (
     render_ray,
     sample_depths,
 )
-from naive_ref import naive_render_ray
+from naive_ref import naive_clip, naive_render_ray
 from test_fields import randomized_params, sample_points, small_config, small_frustum
 
 
@@ -52,11 +53,10 @@ class TestSampling:
 
     def test_sample_ray_with_pose(self):
         pose = look_at((0.4, 0.0, 0.1), (0, 0, 0), fx=8, fy=8, cx=3.5, cy=3.5)
-        ray = ray_through_pixel(pose, (3.5, 3.5))
-        ray = type(ray)(origin=ray.origin, direction=ray.direction, t_near=0.1, t_far=1.0)
-        # the single-ray sampling of render_ray
-        depths, _ = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), 6)
-        points_cam = world_to_camera(pose, ray.point_at(depths[0]))
+        origin, nu = ray_through_pixel(pose, (3.5, 3.5))
+        # the single-ray sampling of render_ray, over [0.1, 1.0]
+        depths, _ = sample_depths(np.array([0.1]), np.array([1.0]), 6)
+        points_cam = world_to_camera(pose, origin - nu * depths[0][:, None])
         # camera-frame samples of a center ray lie near the optical axis
         assert np.abs(points_cam[:, :2]).max() < 0.15
         assert (points_cam[:, 2] < 0).all()
@@ -209,6 +209,32 @@ class TestRenderRay:
         assert out.t_bg == pytest.approx(1.0, abs=1e-12)
         assert out.uncertainty == pytest.approx(cfg.beta_min, abs=1e-12)
 
+    def test_requires_unit_direction(self):
+        params = transparent_params(small_config())
+        pose = look_at((0.9, 0.0, 0.0), (0, 0, 0), fx=8, fy=8, cx=3.5, cy=3.5)
+        with pytest.raises(DomainError):
+            render_ray(params, (np.zeros(3), np.array([0.0, 0.0, 2.0])), pose, t=0)
+
+    def test_camera_outside_box_matches_frame(self):
+        # A wide camera outside the world box: its corner rays miss the box,
+        # its center rays meet it, and every pixel renders as the frame does.
+        cfg = small_config()
+        params = randomized_params(cfg, seed=32)
+        pose = look_at((3.0, 0.2, 0.1), (0, 0, 0), fx=2.0, fy=2.0, cx=3.5, cy=3.5)
+        frame = render_frame(params, pose, t=2, n_samples=10)
+        hits = 0
+        for iy in range(8):
+            for ix in range(8):
+                origin, nu = ray_through_pixel(pose, (ix, iy))
+                enter, exit_ = slab_interval(origin, -nu, cfg.world_lo, cfg.world_hi)
+                hits += bool(exit_ > enter)
+                out = render_ray(params, (origin, nu), pose, t=2, n_samples=10)
+                for name in CHANNELS:
+                    np.testing.assert_allclose(getattr(out, name), frame[name][iy, ix], atol=1e-12)
+                if not exit_ > enter:
+                    assert out.t_bg == 1.0
+        assert 0 < hits < 64
+
     def test_opaque_semi_static_sample(self):
         # One sample with sigma_ss * delta = 20, second sample out of support.
         cfg = small_config()
@@ -300,10 +326,10 @@ class TestRenderFrame:
         for iy in range(2):
             for ix in range(2):
                 # the single-ray sampling of render_ray, rendered by the scalar oracle
-                ray = clip_ray_to_box(ray_through_pixel(pose, (float(ix), float(iy))),
-                                      cfg.world_lo, cfg.world_hi)
-                depths, deltas = sample_depths(np.array([ray.t_near]), np.array([ray.t_far]), 9)
-                pts = ray.point_at(depths[0])
+                origin, nu = ray_through_pixel(pose, (float(ix), float(iy)))
+                t_near, t_far = naive_clip(origin, nu, cfg.world_lo, cfg.world_hi)
+                depths, deltas = sample_depths(np.array([t_near]), np.array([t_far]), 9)
+                pts = origin - nu * depths[0][:, None]
                 single = naive_render_ray(params, pts, world_to_camera(pose, pts), deltas[0], 1)
                 np.testing.assert_allclose(frame["color"][iy, ix], single["color"], atol=1e-12)
                 assert frame["mask_dy"][iy, ix] == pytest.approx(single["mask_dy"], abs=1e-12)

@@ -71,6 +71,13 @@ class TestGenerateScene:
         with pytest.raises(ConfigError):
             benchmark_config("nope")
 
+    def test_eval_stride_below_one_rejected(self):
+        # Zero once raised a raw ValueError from range(), and a negative
+        # stride gave an empty eval set.
+        for stride in (0, -2):
+            with pytest.raises(ConfigError, match="eval_stride"):
+                SceneConfig(eval_stride=stride)
+
     def test_nonzero_camera_baseline(self):
         scene = generate_scene(small_config())
         centers = np.stack([p.center for p in scene.cameras])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,11 +105,16 @@ class TestTrain:
         for bad in (
             dict(learning_rate=0.0), dict(epochs=0), dict(epochs=-1), dict(n_samples=1),
             dict(steps_per_epoch=0), dict(steps_per_epoch=-3), dict(workers=0),
+            dict(learning_rate=math.nan), dict(learning_rate=math.inf),
         ):
             with pytest.raises(ConfigError):
                 TrainConfig(**bad)
         # The loss settings are checked where they live.
-        for bad in (dict(threshold=1.5), dict(threshold=0.0), dict(lambda_pmf=-1.0)):
+        for bad in (
+            dict(threshold=1.5), dict(threshold=0.0), dict(lambda_pmf=-1.0),
+            dict(lambda_pmf=math.nan), dict(lambda_pmf=math.inf),
+            dict(lambda_nmf=math.nan), dict(lambda_nmf=math.inf),
+        ):
             with pytest.raises(ConfigError):
                 LossConfig(**bad)
 
@@ -115,6 +122,7 @@ class TestTrain:
         for bad in (
             dict(learning_rate=0.0), dict(rays_per_step=0), dict(n_samples=1),
             dict(neighbors=-1), dict(steps=-1), dict(workers=0),
+            dict(learning_rate=math.nan), dict(learning_rate=math.inf),
         ):
             with pytest.raises(ConfigError):
                 RefineConfig(frames=(0,), **bad)

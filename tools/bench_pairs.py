@@ -15,6 +15,19 @@ Writes `BENCH_<workload>.json`: the machine, both checkouts, every run
 (metrics, correctness, failures, provenance), and per side the median and
 quartiles of every end-to-end metric, plus the pairs the change won per
 metric and the start checkpoint hash of every seed.
+
+Each end-to-end metric also gets three verdicts, with its `bound` from
+`BENCHMARK.json` taken relative to the parent's median:
+
+  within_bound  the change's median is no worse than the parent's by more
+                than the bound;
+  unresolved    the parent's q3 - q1 is wider than the bound, and not every
+                change run reads better than every parent run;
+  gain          the change won at least nine tenths of the pairs (a tie is
+                a win for neither side), and the medians differ in the
+                better direction by more than the parent's q3 - q1.
+
+`regressions` lists the metrics that are not within their bound.
 """
 
 from __future__ import annotations
@@ -116,6 +129,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         )
         base = entry["parent"]["median"]
         entry["median_ratio"] = entry["change"]["median"] / base if base else None
+        bound = m["bound"] * abs(base)
+        spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+        gap = sign * (entry["change"]["median"] - base)  # positive: the change reads better
+        entry.update(
+            within_bound=gap >= -bound,
+            unresolved=spread > bound
+            and not all(sign * (c - p) > 0 for c in sides["change"] for p in sides["parent"]),
+            gain=bool(pairs) and entry["change_wins"] >= 0.9 * len(pairs) and gap > spread,
+        )
         summary[name] = entry
     return summary
 
@@ -143,6 +165,7 @@ def main(argv=None) -> int:
             rate = r["metrics"].get("rays_per_s", {}).get("value")
             print(f"pair {i} {side}: correct={r.get('correct')} failed={r.get('failed')} rays_per_s={rate}",
                   file=sys.stderr)
+    summary = summarize(runs, spec["end_to_end"])
     report = {
         "workload": args.workload,
         "run_seconds": spec["run_seconds"],
@@ -155,7 +178,8 @@ def main(argv=None) -> int:
                    for r in runs if r["side"] == side and "provenance" in r}
             for side in SIDES
         },
-        "summary": summarize(runs, spec["end_to_end"]),
+        "regressions": [name for name, e in summary.items() if not e["within_bound"]],
+        "summary": summary,
         "runs": runs,
     }
     out.write_text(json.dumps(report, indent=1) + "\n")
