@@ -304,20 +304,12 @@ def naive_slab(origin, march, lo, hi):
 
 
 def naive_clip(origin, nu, lo, hi):
-    """(t_near, t_far) of the ray origin - nu * tau through the box, one axis at a time.
+    """(t_near, t_far) of the ray origin - nu * tau through the box, in plain floats.
 
     The span starts at least 1e-4 past the origin and is at least 1e-3 long,
     also for a ray that misses the box.
     """
-    enter, exit_ = -math.inf, math.inf
-    for a in range(3):
-        o, d = float(origin[a]), -float(nu[a])
-        if d == 0.0:
-            if not lo[a] <= o <= hi[a]:
-                enter, exit_ = math.inf, -math.inf
-            continue
-        t0, t1 = (lo[a] - o) / d, (hi[a] - o) / d
-        enter, exit_ = max(enter, min(t0, t1)), min(exit_, max(t0, t1))
+    enter, exit_ = naive_slab([float(o) for o in origin], [-float(d) for d in nu], lo, hi)
     t_near = max(enter, 1e-4)
     return t_near, max(exit_, t_near + 1e-3)
 

@@ -9,7 +9,7 @@ from layermotion import renderer
 from layermotion.bake import bake_scene
 from layermotion.errors import DomainError
 from layermotion.fields import softplus_inv, zero_params
-from layermotion.geometry import look_at, ray_through_pixel, slab_interval, world_to_camera
+from layermotion.geometry import look_at, ray_through_pixel, world_to_camera
 from layermotion.renderer import (
     CHANNELS,
     DELTA_CAP,
@@ -22,7 +22,7 @@ from layermotion.renderer import (
     render_ray,
     sample_depths,
 )
-from naive_ref import naive_clip, naive_render_ray
+from naive_ref import naive_clip, naive_render_ray, naive_slab
 from test_fields import randomized_params, sample_points, small_config, small_frustum
 
 
@@ -226,7 +226,7 @@ class TestRenderRay:
         for iy in range(8):
             for ix in range(8):
                 origin, nu = ray_through_pixel(pose, (ix, iy))
-                enter, exit_ = slab_interval(origin, -nu, cfg.world_lo, cfg.world_hi)
+                enter, exit_ = naive_slab(origin, -nu, cfg.world_lo, cfg.world_hi)
                 hits += bool(exit_ > enter)
                 out = render_ray(params, (origin, nu), pose, t=2, n_samples=10)
                 for name in CHANNELS:
