@@ -75,7 +75,7 @@ class Dataset:
 
     @property
     def eval_frames(self) -> tuple[int, ...]:
-        return tuple(self.meta.get("eval_frames", range(self.n_frames)))
+        return tuple(self.meta["eval_frames"])
 
     def _ray_tables(self):
         """Per-frame ray geometry, built once: nu, origins, near/far, poses."""
@@ -208,12 +208,11 @@ def _read_meta(path: Path) -> dict:
     if not is_int(t_total) or t_total < 1:
         raise DataError(f"{path}: n_frames must be a positive integer, got {t_total!r}")
     check_world_box(meta.get("world_lo"), meta.get("world_hi"), str(path))
-    if "eval_frames" in meta:  # absent: every frame
-        frames = meta["eval_frames"]
-        if not (isinstance(frames, list) and all(is_int(t) and 0 <= t < t_total for t in frames)):
-            raise DataError(f"{path}: eval_frames must be frame indices in [0, {t_total})")
-        if not frames or len(set(frames)) < len(frames):
-            raise DataError(f"{path}: eval_frames must be non-empty and name each frame once, got {frames}")
+    frames = meta.get("eval_frames")
+    if not (isinstance(frames, list) and all(is_int(t) and 0 <= t < t_total for t in frames)):
+        raise DataError(f"{path}: eval_frames must be frame indices in [0, {t_total}), got {frames!r}")
+    if not frames or len(set(frames)) < len(frames):
+        raise DataError(f"{path}: eval_frames must be non-empty and name each frame once, got {frames}")
     return meta
 
 

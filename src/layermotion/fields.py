@@ -259,7 +259,9 @@ class _Lookup:
     """Trilinear lookup of a point batch in one grid domain.
 
     `idx` (B, 8) are flat corner indices, `w` (B, 8) the corner weights and
-    `inside` (B,) marks the points inside the box [lo, hi]^3.
+    `inside` (B,) marks the points inside the box [lo, hi]^3. :meth:`at`
+    adds `row0` (a scalar or (B,)) to every index of a point: the first row
+    of the point's grid in a table that stacks several.
     """
 
     idx: np.ndarray
@@ -267,7 +269,7 @@ class _Lookup:
     inside: np.ndarray
 
     @classmethod
-    def at(cls, pts: np.ndarray, lo, hi, res: int) -> "_Lookup":
+    def at(cls, pts: np.ndarray, lo, hi, res: int, row0=0) -> "_Lookup":
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
         inside = (pts[:, 0] >= lo[0]) & (pts[:, 0] <= hi[0])
@@ -276,7 +278,7 @@ class _Lookup:
         g = (pts - lo) / (hi - lo) * (res - 1)
         g = np.clip(g, 0.0, res - 1.0)
         i0 = np.minimum(g.astype(np.int64), res - 2)
-        base = (i0[:, 0] * res + i0[:, 1]) * res + i0[:, 2]
+        base = (i0[:, 0] * res + i0[:, 1]) * res + i0[:, 2] + row0
         offsets = (_CORNERS[:, 0] * res + _CORNERS[:, 1]) * res + _CORNERS[:, 2]
         # One contiguous (B,) row per axis and corner weight; corner
         # o = 4i + 2j + k gets (wx[i] * wy[j]) * wz[k], the product order of
@@ -379,15 +381,21 @@ class LayerEvalCache:
         return self.pre.shape[0]
 
 
-def _lookups(cfg: FieldConfig, pts_world: np.ndarray, pts_cam: np.ndarray):
-    """(world, semi-static, dynamic) lookups of a point batch and its (B, 3) layer support."""
+def _lookups(cfg: FieldConfig, pts_world: np.ndarray, pts_cam: np.ndarray, block=0):
+    """(world, semi-static, dynamic) lookups of a point batch and its (B, 3) layer support.
+
+    `block` (a scalar or (B,)) is each point's grid in the semi-static and
+    dynamic tables: grid f of a table holds rows f·R³ ... (f + 1)·R³ - 1.
+    """
     if not (np.all(np.isfinite(pts_world)) and np.all(np.isfinite(pts_cam))):
         raise NumericalError("non-finite point coordinates passed to eval_layers")
     world = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.grid_res)
-    ss = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, cfg.ss_grid_res)
+    res = cfg.ss_grid_res
+    ss = _Lookup.at(pts_world, cfg.world_lo, cfg.world_hi, res, block * res**3)
     # `ok` implies u in [0, 1]^3, so it is the whole dynamic support.
     upts, ok = _frustum_points(pts_cam, cfg.frustum)
-    dy = _Lookup.at(upts, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), cfg.dyn_grid_res)
+    res = cfg.dyn_grid_res
+    dy = _Lookup.at(upts, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), res, block * res**3)
     support = np.stack([world.inside, world.inside, ok], axis=1).astype(np.float64)
     return world, ss, dy, support
 
@@ -421,7 +429,6 @@ def eval_layers_batch(
     """
     cfg = params.config
     b = params.blocks
-    world, ss, dy, support = _lookups(cfg, pts_world, pts_cam)
     t_idx = np.asarray(t_idx, dtype=np.int64)
     if np.any((t_idx < 0) | (t_idx >= cfg.n_frames)):
         raise DomainError("frame index outside [0, T)")
@@ -429,17 +436,15 @@ def eval_layers_batch(
     present = np.bincount(t_idx, minlength=cfg.n_frames) > 0
     frames = np.flatnonzero(present)
     block = np.cumsum(present)[t_idx] - 1  # each point's table block
+    world, ss, dy, support = _lookups(cfg, pts_world, pts_cam, block)
 
     phi0 = world.read(b["phi0"])
-    mixed, pre_mixed = [], []
+    pre_mixed = []
     for which, lookup in (("ss", ss), ("dy", dy)):
         a, _, g = _mix(params, which, frames)
         res = b[f"{which}_grids"].shape[0]
-        if frames.size > 1:  # block f of the table holds rows f·R³ ... (f + 1)·R³ - 1
-            lookup = _Lookup(lookup.idx + (block * res**3)[:, None], lookup.w, lookup.inside)
         table = np.einsum("fk,kx->fx", a, g).reshape(-1, res, res, 5)  # see _mix
         pre_mixed.append(lookup.read(table))
-        mixed.append(lookup)
     pre = np.stack(  # (B, 3 layers, 5 channels)
         [
             world.read(b["st_grid"]) + phi0 @ b["st_head"].T,
@@ -449,7 +454,7 @@ def eval_layers_batch(
         axis=1,
     )
     sigma, color, beta = _activate(pre, support, cfg.beta_min)
-    cache = LayerEvalCache(world, tuple(mixed), phi0, pre, color, support, frames)
+    cache = LayerEvalCache(world, (ss, dy), phi0, pre, color, support, frames)
     return sigma, color, beta, cache
 
 

@@ -116,10 +116,11 @@ def clip_to_box(origin, nu, lo, hi):
     """(t_near, t_far) of rays origin - nu * tau clipped to the box [lo, hi].
 
     Broadcasts like :func:`slab_interval`. A ray that misses the box gets
-    a span too, so a frame renders every pixel.
+    a span too, so a frame renders every pixel; one parallel to a slab it
+    lies outside enters at infinity, so its span starts at NEAR_EPS.
     """
     enter, exit_ = slab_interval(origin, -nu, lo, hi)
-    t_near = np.maximum(enter, NEAR_EPS)
+    t_near = np.maximum(np.where(np.isfinite(enter), enter, NEAR_EPS), NEAR_EPS)
     return t_near, np.maximum(exit_, t_near + MIN_SPAN)
 
 

@@ -2,16 +2,17 @@
 
 Per sample i along a ray: alpha_i = 1 - exp(-sigma_i * delta_i),
 transmittance T_i = prod_{j<i} (1 - alpha_j), weight w_i = T_i * alpha_i.
-Layer densities add; colors, uncertainties, and the layer-indicator
-pseudo-colors mix weighted by each layer's density share, so the rendered
-semi-static/dynamic mask images are the transported density shares of those
-layers. The residual transmittance T_bg is reported per ray, and the
+Layer densities add, and each layer gets its own quadrature weight
+w_i * share_{i,l}, its density share of the sample's weight. Colors and
+uncertainties mix by these per-layer weights, and the static, semi-static and
+dynamic mask images are their sums over samples: each layer's transported
+density share. The residual transmittance T_bg is reported per ray, and the
 uncertainty image receives a beta_min * T_bg floor so empty rays keep a
 positive uncertainty.
 
 Samples with total density below EPS_SIGMA use the empty-space convention
-(zero color and mask shares); their quadrature weight is vanishing, so the
-convention is consequence-free.
+(zero shares, so zero layer weights); their quadrature weight is vanishing,
+so the convention is consequence-free.
 """
 
 from __future__ import annotations
@@ -72,28 +73,19 @@ def sample_depths(t_near, t_far, n_samples: int, stratified: bool = False, seed:
     return depths, deltas
 
 
-def composite_point(sigma, color, beta):
-    """Mix per-layer values at point(s): densities add, the rest mix by share.
+def composite_point(sigma):
+    """Total density and each layer's density share at point(s).
 
-    `sigma` and `beta` are (..., 3) over (static, semi-static, dynamic);
-    `color` is (..., 3, 3). Returns (total (...), share (..., 3), values
-    (..., 7)): the total density, each layer's density share and the mixed
-    value channels (color 3, beta, then the semi-static, dynamic and static
-    shares, which are the mixed layer-indicator pseudo-colors). Points with
-    total density below EPS_SIGMA get zero shares, so zero values.
+    `sigma` is (..., 3) over (static, semi-static, dynamic). Returns (total
+    (...), share (..., 3)). Points with total density below EPS_SIGMA get
+    zero shares.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
-    color = np.asarray(color, dtype=np.float64)
     total = sigma.sum(axis=-1)
     live = total > EPS_SIGMA
     denom = np.where(live, total, 1.0)
     share = sigma / denom[..., None] * live[..., None]
-    mixed_color = np.einsum("...l,...lc->...c", share, color)
-    mixed_beta = np.einsum("...l,...l->...", share, np.asarray(beta, dtype=np.float64))
-    values = np.concatenate(
-        [mixed_color, mixed_beta[..., None], share[..., 1:3], share[..., :1]], axis=-1
-    )
-    return total, share, values
+    return total, share
 
 
 @dataclass
@@ -102,7 +94,6 @@ class ForwardCache:
 
     total: np.ndarray  # (N, K) total density
     share: np.ndarray  # (N, K, 3)
-    values: np.ndarray  # (N, K, 6): mixed color 3, mixed beta, m_ss, m_dy
     color_layers: np.ndarray  # (N, K, 3, 3)
     beta_layers: np.ndarray  # (N, K, 3)
     alpha: np.ndarray  # (N, K)
@@ -113,8 +104,8 @@ class ForwardCache:
     beta_min: float  # background uncertainty, weighted by t_bg
 
 
-def _integrate(sigma, deltas, values, bg):
-    """Quadrature over samples: returns (out (N, C), alpha, trans, weights, t_bg)."""
+def _integrate(sigma, deltas):
+    """Quadrature weights of samples: returns (alpha, trans, weights, t_bg)."""
     alpha = -np.expm1(-sigma * deltas)
     one_minus = 1.0 - alpha
     trans = np.cumprod(one_minus, axis=1)
@@ -122,8 +113,7 @@ def _integrate(sigma, deltas, values, bg):
     trans = np.roll(trans, 1, axis=1)
     trans[:, 0] = 1.0
     weights = trans * alpha
-    out = np.einsum("nk,nkc->nc", weights, values) + t_bg[:, None] * bg
-    return out, alpha, trans, weights, t_bg
+    return alpha, trans, weights, t_bg
 
 
 def backward_composite(cache: ForwardCache, d_color, d_uncertainty, d_mask_ss, d_mask_dy):
@@ -134,38 +124,28 @@ def backward_composite(cache: ForwardCache, d_color, d_uncertainty, d_mask_ss, d
     broadcasts. Returns the gradients with respect to composite_rays'
     `sigma` (N*K, 3), `color` (N*K, 3, 3) and `beta` (N*K, 3).
     """
-    w, trans, alpha = cache.weights, cache.trans, cache.alpha
-    deltas, t_bg, values = cache.deltas, cache.t_bg, cache.values
-    n, k = cache.total.shape
-    dout = np.empty((n, 6))  # over the channels of `values`
-    dout[:, 0:3] = d_color
-    dout[:, 3] = d_uncertainty
-    dout[:, 4] = d_mask_ss
-    dout[:, 5] = d_mask_dy
-    # dL/d(values at sample) and the projection needed for dL/dsigma.
-    dvalues = w[:, :, None] * dout[:, None, :]
-    proj = np.einsum("nc,nkc->nk", dout, values)
+    w, trans, alpha, share = cache.weights, cache.trans, cache.alpha, cache.share
+    n = cache.total.shape[0]
+    d_color = np.broadcast_to(d_color, (n, 3))
+    d_unc = np.broadcast_to(d_uncertainty, (n,))
+    # g_l: dL per unit quadrature weight of layer l at a sample; the
+    # semi-static and dynamic masks read that layer's weight alone.
+    g = np.einsum("nklc,nc->nkl", cache.color_layers, d_color) + cache.beta_layers * d_unc[:, None, None]
+    g[..., 1] += np.reshape(d_mask_ss, (-1, 1))
+    g[..., 2] += np.reshape(d_mask_dy, (-1, 1))
+    proj = np.einsum("nkl,nkl->nk", share, g)  # dL per unit weight of the sample
     wproj = w * proj
     suffix = np.sum(wproj, axis=1, keepdims=True) - np.cumsum(wproj, axis=1)
     t_incl = trans * (1.0 - alpha)  # transmittance just past each sample
-    d_bg = cache.beta_min * dout[:, 3]  # the background is beta_min in uncertainty only
-    d_sigma_tot = deltas * (t_incl * proj - suffix - (t_bg * d_bg)[:, None])
-
-    # Density-share mixing: value channel q_c = sum_l share_l * v_{l,c}.
-    v = np.zeros((n, k, 3, 6))
-    v[..., 0:3] = cache.color_layers
-    v[..., 3] = cache.beta_layers
-    v[..., 1, 4] = 1.0  # semi-static pseudo-color
-    v[..., 2, 5] = 1.0  # dynamic pseudo-color
+    d_bg = cache.beta_min * d_unc  # the background is beta_min in uncertainty only
+    d_sigma_tot = cache.deltas * (t_incl * proj - suffix - (cache.t_bg * d_bg)[:, None])
+    # Density shares: d share_m / d sigma_l = ([m = l] - share_m) / total on live samples.
     live = cache.total > EPS_SIGMA
-    safe = np.where(live, cache.total, 1.0)
-    diff = v - values[:, :, None, :]
-    ratio = np.einsum("nkc,nklc->nkl", dvalues, diff) / safe[:, :, None]
-    ratio *= live[:, :, None]
-    d_sigma = d_sigma_tot[:, :, None] + ratio
-    # `share` is already zero where the sample is not live.
-    d_color = dvalues[:, :, None, 0:3] * cache.share[:, :, :, None]
-    d_beta = dvalues[:, :, None, 3] * cache.share
+    scale = w * live / np.where(live, cache.total, 1.0)
+    d_sigma = d_sigma_tot[..., None] + scale[..., None] * (g - proj[..., None])
+    layer_w = w[..., None] * share
+    d_color = layer_w[..., None] * d_color[:, None, None, :]
+    d_beta = layer_w * d_unc[:, None, None]
     return d_sigma.reshape(-1, 3), d_color.reshape(-1, 3, 3), d_beta.reshape(-1, 3)
 
 
@@ -177,30 +157,35 @@ def composite_rays(sigma, color, beta, deltas: np.ndarray, beta_min: float):
     non-finite output raises `RenderError`.
     """
     n, k = deltas.shape
-    total, share, values = composite_point(sigma, color, beta)
-    values = values.reshape(n, k, 7)
-    total = total.reshape(n, k)
-    bg = np.array([0, 0, 0, beta_min, 0, 0, 0], dtype=np.float64)
-    out, alpha, trans, weights, t_bg = _integrate(total, deltas, values, bg)
+    total, share = composite_point(sigma)
+    total, share = total.reshape(n, k), share.reshape(n, k, 3)
+    color, beta = color.reshape(n, k, 3, 3), beta.reshape(n, k, 3)
+    alpha, trans, weights, t_bg = _integrate(total, deltas)
+    # Layer l's quadrature weight at a sample is weights * share_l; each mask
+    # sums one layer's weights, and color and uncertainty mix per sample first.
+    masks = np.einsum("nk,nkl->nl", weights, share)  # (N, 3): static, semi-static, dynamic
+    mixed_color = np.einsum("nkl,nklc->nkc", share, color)
+    mixed_beta = np.einsum("nkl,nkl->nk", share, beta)
     bundle = RenderBundle(
-        color=out[:, 0:3],
-        uncertainty=out[:, 3],
-        mask_ss=out[:, 4],
-        mask_dy=out[:, 5],
-        mask_st=out[:, 6],
+        color=np.einsum("nk,nkc->nc", weights, mixed_color),
+        uncertainty=np.einsum("nk,nk->n", weights, mixed_beta) + t_bg * beta_min,
+        mask_ss=masks[:, 1],
+        mask_dy=masks[:, 2],
+        mask_st=masks[:, 0],
         t_bg=t_bg,
     )
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))
-        ray_i = int(bad[0, 0])
-        samp = int(np.argmax(~np.isfinite(values[ray_i]).all(axis=-1)))
+    finite = np.isfinite(bundle.color).all(axis=1) & np.isfinite(bundle.uncertainty)
+    finite &= np.isfinite(masks).all(axis=1)
+    if not finite.all():
+        ray_i = int(np.argmin(finite))
+        ok = np.isfinite(share[ray_i]).all(axis=1) & np.isfinite(color[ray_i]).all(axis=(1, 2))
+        samp = int(np.argmin(ok & np.isfinite(beta[ray_i]).all(axis=1)))
         raise RenderError(f"non-finite render output at ray {ray_i}, sample {samp}")
     cache = ForwardCache(
         total=total,
-        share=share.reshape(n, k, 3),
-        values=values[..., :6],
-        color_layers=color.reshape(n, k, 3, 3),
-        beta_layers=beta.reshape(n, k, 3),
+        share=share,
+        color_layers=color,
+        beta_layers=beta,
         alpha=alpha,
         trans=trans,
         weights=weights,

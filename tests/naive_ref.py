@@ -307,10 +307,10 @@ def naive_clip(origin, nu, lo, hi):
     """(t_near, t_far) of the ray origin - nu * tau through the box, in plain floats.
 
     The span starts at least 1e-4 past the origin and is at least 1e-3 long,
-    also for a ray that misses the box.
+    also for a ray that misses the box; one that never enters it starts at 1e-4.
     """
     enter, exit_ = naive_slab([float(o) for o in origin], [-float(d) for d in nu], lo, hi)
-    t_near = max(enter, 1e-4)
+    t_near = max(enter, 1e-4) if enter < math.inf else 1e-4
     return t_near, max(exit_, t_near + 1e-3)
 
 

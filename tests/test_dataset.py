@@ -88,6 +88,12 @@ class TestMeta:
         with pytest.raises(DataError, match=r"eval_frames must be frame indices in \[0, 6\)"):
             load_dataset(ds_copy)
 
+    def test_eval_frames_required(self, ds_copy):
+        # Every writer records the evaluation frames; there is no default.
+        edit_meta(ds_copy, eval_frames=None)
+        with pytest.raises(DataError, match=r"eval_frames must be frame indices in \[0, 6\), got None"):
+            load_dataset(ds_copy)
+
     @pytest.mark.parametrize("frames", [[], [0, 0], [1, 3, 1]])
     def test_eval_frames_empty_or_repeated(self, ds_copy, frames):
         edit_meta(ds_copy, eval_frames=frames)

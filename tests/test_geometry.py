@@ -5,6 +5,8 @@ import pytest
 
 from layermotion.errors import DataError, DomainError
 from layermotion.geometry import (
+    MIN_SPAN,
+    NEAR_EPS,
     CameraPose,
     camera_rays,
     clip_to_box,
@@ -136,6 +138,14 @@ class TestClipToBox:
         t_near, t_far = clip_to_box(origin, nu, (-1, -1, -1), (1, 1, 1))
         assert 0 < t_near < t_far
         assert t_far == pytest.approx(1.0)
+
+    def test_axis_parallel_ray_outside_a_slab(self):
+        # Parallel to the z slab and above it: the slab never lets the ray in.
+        lo, hi = (-1.25, -1.25, -1.25), (1.25, 1.25, 1.25)
+        origin, nu = np.array([3.0, 0.0, 2.0]), np.array([1.0, -0.0, -0.0])
+        t_near, t_far = clip_to_box(origin, nu, lo, hi)
+        assert (t_near, t_far) == (NEAR_EPS, NEAR_EPS + MIN_SPAN)
+        assert (t_near, t_far) == naive_clip(origin, nu, lo, hi)
 
     def test_matches_naive_clip(self):
         # Hits, misses and rays from inside the box, over a pixel grid.

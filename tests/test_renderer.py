@@ -7,7 +7,7 @@ import pytest
 
 from layermotion import renderer
 from layermotion.bake import bake_scene
-from layermotion.errors import DomainError
+from layermotion.errors import DomainError, RenderError
 from layermotion.fields import softplus_inv, zero_params
 from layermotion.geometry import look_at, ray_through_pixel, world_to_camera
 from layermotion.renderer import (
@@ -67,36 +67,22 @@ class TestSampling:
 
 
 class TestCompositePoint:
-    # values channels: color 0:3, beta 3, then the semi-static (4), dynamic
-    # (5) and static (6) shares.
     def test_single_layer_occupancy(self):
-        sigma = np.array([0.0, 2.5, 0.0])
-        color = np.array([[0.1, 0.1, 0.1], [0.9, 0.5, 0.2], [0.7, 0.7, 0.7]])
-        total, share, values = composite_point(sigma, color, np.ones(3))
-        assert values[4] == pytest.approx(1.0)
-        assert values[5] == pytest.approx(0.0)
-        np.testing.assert_allclose(values[0:3], color[1])
-        np.testing.assert_array_equal(share[[1, 2, 0]], values[4:7])
+        total, share = composite_point(np.array([0.0, 2.5, 0.0]))
+        assert total == 2.5
+        np.testing.assert_array_equal(share, [0.0, 1.0, 0.0])
 
     def test_equal_mixture(self):
-        sigma = np.ones(3)
-        color = np.eye(3)
-        total, share, values = composite_point(sigma, color, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(values[0:3], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-        assert values[3] == pytest.approx(2.0)
-        assert values[4] == pytest.approx(1 / 3)
-        assert values[5] == pytest.approx(1 / 3)
+        total, share = composite_point(np.ones(3))
+        assert total == 3.0
+        np.testing.assert_allclose(share, 1 / 3, rtol=1e-15)
 
     def test_shares_sum_to_one_vs_naive(self):
         rng = np.random.default_rng(4)
         sigma = rng.uniform(0.01, 5.0, (100, 3))
-        color = rng.random((100, 3, 3))
-        total, share, values = composite_point(sigma, color, rng.random((100, 3)))
-        assert values.shape == (100, 7)
+        total, share = composite_point(sigma)
+        assert total.shape == (100,) and share.shape == (100, 3)
         np.testing.assert_allclose(share.sum(axis=-1), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(values[:, 4], share[:, 1])
-        np.testing.assert_array_equal(values[:, 5], share[:, 2])
-        np.testing.assert_array_equal(values[:, 6], share[:, 0])
         for i in range(0, 100, 17):
             s = sigma[i].sum()
             assert total[i] == pytest.approx(s, abs=1e-12)
@@ -105,11 +91,55 @@ class TestCompositePoint:
             assert abs(share[i, 2] - sigma[i, 2] / s) < 1e-12
 
     def test_empty_space_convention(self):
-        total, share, values = composite_point(np.zeros(3), np.full((3, 3), 0.7), np.ones(3))
+        total, share = composite_point(np.zeros(3))
         assert total == 0.0
-        np.testing.assert_array_equal(values[0:3], np.zeros(3))
         np.testing.assert_array_equal(share, np.zeros(3))
-        assert values[4] == 0.0 and values[5] == 0.0
+
+
+class TestOneSampleMixing:
+    """composite_rays on one ray of one opaque sample: each layer's weight is its share."""
+
+    @staticmethod
+    def render(sigma, color, beta, beta_min=0.03):
+        # sigma * delta = 40 per unit density: the sample's weight is 1 - exp(-40 * total).
+        bundle, _ = composite_rays(
+            np.array([sigma], dtype=float), np.array([color], dtype=float),
+            np.array([beta], dtype=float), np.array([[40.0]]), beta_min,
+        )
+        return bundle
+
+    def test_single_live_layer(self):
+        color = [[0.1, 0.1, 0.1], [0.9, 0.5, 0.2], [0.7, 0.7, 0.7]]
+        for layer, mask in enumerate(("mask_st", "mask_ss", "mask_dy")):
+            sigma = np.zeros(3)
+            sigma[layer] = 2.5
+            b = self.render(sigma, color, [1.0, 2.0, 3.0])
+            np.testing.assert_allclose(b.color[0], color[layer], rtol=1e-15)
+            assert b.uncertainty[0] == pytest.approx(layer + 1.0, rel=1e-15)
+            assert getattr(b, mask)[0] == pytest.approx(1.0, rel=1e-15)
+            others = {"mask_st", "mask_ss", "mask_dy"} - {mask}
+            assert all(getattr(b, m)[0] == 0.0 for m in others)
+
+    def test_equal_mixture_gives_the_means(self):
+        b = self.render(np.ones(3), np.eye(3), [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(b.color[0], 1 / 3, rtol=1e-15)
+        assert b.uncertainty[0] == pytest.approx(2.0, rel=1e-15)
+        for mask in ("mask_st", "mask_ss", "mask_dy"):
+            assert getattr(b, mask)[0] == pytest.approx(1 / 3, rel=1e-15)
+
+    def test_empty_sample_gives_zero_shares(self):
+        b = self.render(np.zeros(3), np.full((3, 3), 0.7), np.ones(3), beta_min=0.03)
+        np.testing.assert_array_equal(b.color[0], 0.0)
+        assert b.mask_st[0] == b.mask_ss[0] == b.mask_dy[0] == 0.0
+        assert b.t_bg[0] == 1.0
+        assert b.uncertainty[0] == 0.03
+
+    def test_non_finite_output_names_ray_and_sample(self):
+        sigma = np.ones((6, 3))
+        color = np.full((6, 3, 3), 0.5)
+        color[4, 1, 2] = np.nan  # ray 1 (of 2, 3 samples each), sample 1
+        with pytest.raises(RenderError, match="ray 1, sample 1"):
+            composite_rays(sigma, color, np.ones((6, 3)), np.full((2, 3), 0.2), 0.03)
 
 
 class TestBackwardComposite:
@@ -234,6 +264,21 @@ class TestRenderRay:
                 if not exit_ > enter:
                     assert out.t_bg == 1.0
         assert 0 < hits < 64
+
+    def test_axis_parallel_rays_above_the_box_render_background(self):
+        # The centre row of this odd-height camera is parallel to the z slab
+        # and above it, so its rays never enter the box; the rows below do.
+        cfg = small_config(frustum=small_frustum(7))
+        params = randomized_params(cfg, seed=34)
+        pose = look_at((3.0, 0.0, 2.0), (0.0, 0.0, 2.0), fx=8, fy=8, cx=3.0, cy=3.0)
+        origin, nu = ray_through_pixel(pose, (3, 3))
+        assert np.count_nonzero(nu) == 1
+        frame = render_frame(params, pose, t=1, n_samples=10)
+        np.testing.assert_array_equal(frame["t_bg"][3], 1.0)
+        assert frame["t_bg"].min() < 0.5
+        out = render_ray(params, (origin, nu), pose, t=1, n_samples=10)
+        for name in CHANNELS:
+            np.testing.assert_array_equal(getattr(out, name), frame[name][3, 3])
 
     def test_opaque_semi_static_sample(self):
         # One sample with sigma_ss * delta = 20, second sample out of support.
