@@ -259,9 +259,8 @@ class _Lookup:
     """Trilinear lookup of a point batch in one grid domain.
 
     `idx` (B, 8) are flat corner indices, `w` (B, 8) the corner weights and
-    `inside` (B,) marks the points inside the box [lo, hi]^3. :meth:`at`
-    adds `row0` (a scalar or (B,)) to every index of a point: the first row
-    of the point's grid in a table that stacks several.
+    `inside` (B,) marks the points inside the box [lo, hi]^3. `row0` offsets
+    each point's indices to its grid's first row in a table of stacked grids.
     """
 
     idx: np.ndarray
@@ -384,8 +383,7 @@ class LayerEvalCache:
 def _lookups(cfg: FieldConfig, pts_world: np.ndarray, pts_cam: np.ndarray, block=0):
     """(world, semi-static, dynamic) lookups of a point batch and its (B, 3) layer support.
 
-    `block` (a scalar or (B,)) is each point's grid in the semi-static and
-    dynamic tables: grid f of a table holds rows f·R³ ... (f + 1)·R³ - 1.
+    The time-dependent lookups read grid `block` (B,) of their stacked tables.
     """
     if not (np.all(np.isfinite(pts_world)) and np.all(np.isfinite(pts_cam))):
         raise NumericalError("non-finite point coordinates passed to eval_layers")

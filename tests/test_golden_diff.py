@@ -45,7 +45,7 @@ def test_another_seed_reports_moves(seed0, tmp_path):
     assert ("renders/mask_dy_0000.pgm", "image") in kinds
     assert ("reports/training_log.csv", "column") in kinds
     assert ("renders/source.json", "derived") in kinds
-    assert ("dataset/meta.json", "json") in kinds
+    assert ("dataset/meta.json", "bytes") in kinds
     assert golden_diff.main([str(seed0), str(other)]) == 1
 
 

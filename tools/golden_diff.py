@@ -5,7 +5,7 @@ Run from anywhere, with two workspaces of one pipeline (for example the mini
 pipeline of `tests/test_cli.py::test_golden_checksums`, run at a parent
 commit and at a change):
 
-    python3 tools/golden_diff.py ws_parent ws_change [--all]
+    python3 tools/golden_diff.py ws_parent ws_change
 
 Every file that differs by bytes is decoded and given its largest move:
 
@@ -16,16 +16,16 @@ Every file that differs by bytes is decoded and given its largest move:
   images (.ppm, .pgm)  the number of changed 8-bit values
   CSV files            per numeric column, the largest absolute difference;
                        per other column, the number of changed cells
-  JSON files           the top-level keys whose values changed
   derived files        no decoding: `renders/source.json`, `manifest.csv`
                        and `reports/summary.txt` hold digests or a
                        rendering of other files, so their moves follow
                        from those files' rows
 
-Prints one markdown table row per move (one per checkpoint block, one per
-CSV column), then a count of equal files; `--all` also lists equal files.
-The exit status is 0 when the trees are byte-identical, 1 when anything
-differs or exists on one side only, as with diff(1).
+Any other file that differs is listed by name. Prints one markdown table
+row per move (one per checkpoint block, one per CSV column), then the count
+of equal and differing files. The exit status is 0 when the trees are
+byte-identical, 1 when anything differs or exists on one side only, as
+with diff(1).
 """
 
 from __future__ import annotations
@@ -111,13 +111,7 @@ def _csv(a: Path, b: Path):
     return rows
 
 
-def _json(a: Path, b: Path):
-    ja, jb = imgio.read_json(a), imgio.read_json(b)
-    keys = sorted(k for k in set(ja) | set(jb) if ja.get(k) != jb.get(k))
-    return [("", "json", "keys " + ", ".join(keys), None)]
-
-
-DECODERS = {".lmf": _checkpoint, ".f64": _f64, ".ppm": _image, ".pgm": _image, ".csv": _csv, ".json": _json}
+DECODERS = {".lmf": _checkpoint, ".f64": _f64, ".ppm": _image, ".pgm": _image, ".csv": _csv}
 
 
 def diff_trees(a: Path, b: Path):
@@ -147,7 +141,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, help="the reference workspace, such as the parent's")
     parser.add_argument("b", type=Path, help="the workspace to compare with it")
-    parser.add_argument("--all", action="store_true", help="also list the equal files")
     args = parser.parse_args(argv)
     for root in (args.a, args.b):
         if not root.is_dir():
@@ -156,9 +149,6 @@ def main(argv=None) -> int:
     print("| file | kind | move |\n|---|---|---|")
     for rel, kind, move, _ in rows:
         print(f"| `{rel}` | {kind} | {move} |")
-    if args.all:
-        for rel in equal:
-            print(f"| `{rel}` | equal | |")
     moved = len({rel.split(":")[0] for rel, *_ in rows})
     print(f"\n{len(equal)} files equal, {moved} differ")
     return 1 if rows else 0
