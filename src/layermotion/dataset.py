@@ -1,4 +1,4 @@
-"""On-disk and in-memory dataset: frames, masks, pseudo-labels, cameras.
+"""On-disk dataset: frames, masks, pseudo-labels, cameras.
 
 Disk layout under a dataset directory:
 
@@ -142,8 +142,8 @@ class Dataset:
 def _meta(scene: SceneSpec, config: SceneConfig) -> dict:
     """The meta.json fields: scene name, sizes, world box, eval protocol."""
     return {
-        "name": scene.name,
-        "seed": scene.seed,
+        "name": config.name,
+        "seed": config.seed,
         "n_frames": scene.n_frames,
         "height": scene.height,
         "width": scene.width,
@@ -153,23 +153,6 @@ def _meta(scene: SceneSpec, config: SceneConfig) -> dict:
         "recall": config.recall,
         "fpr": config.fpr,
     }
-
-
-def dataset_from_scene(
-    scene: SceneSpec,
-    gt: GroundTruth,
-    pseudo: np.ndarray,
-    config: SceneConfig,
-) -> Dataset:
-    """In-memory dataset straight from generation (no disk round trip)."""
-    return Dataset(
-        rgb=gt.rgb.copy(),
-        mask_dyn=gt.mask_dyn.copy(),
-        mask_ss=gt.mask_ss.copy(),
-        pseudo=np.array(pseudo, dtype=np.float64),
-        poses=list(scene.cameras),
-        meta=_meta(scene, config),
-    )
 
 
 def write_dataset(

@@ -167,11 +167,9 @@ class SceneObject:
 class SceneSpec:
     """Fully instantiated analytic scene: objects plus a camera trajectory."""
 
-    name: str
     n_frames: int
     height: int
     width: int
-    seed: int
     objects: tuple[SceneObject, ...]
     cameras: tuple[CameraPose, ...]
     background: tuple[float, float, float] = (0.5, 0.5, 0.5)
@@ -317,11 +315,9 @@ def generate_scene(config: SceneConfig) -> SceneSpec:
         cameras.append(look_at(pos, target, **intr))
 
     return SceneSpec(
-        name=config.name,
         n_frames=t_total,
         height=h,
         width=w,
-        seed=config.seed,
         objects=objects,
         cameras=tuple(cameras),
     )

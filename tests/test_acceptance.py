@@ -17,7 +17,7 @@ import pytest
 from layermotion import scenegen
 from layermotion.bake import bake_scene
 from layermotion.dataset import load_dataset, write_dataset
-from layermotion.evalkit import average_precision, evaluate
+from layermotion.evalkit import average_precision, evaluate, evaluate_params
 from layermotion.losses import LossConfig, total_loss_and_gradients
 from layermotion.renderer import render_batch, render_frame
 from layermotion.trainer import RefineConfig, partition_digest, refine, refinement_set
@@ -289,12 +289,7 @@ def test_reported_temporal_context_effect(bench_dataset, bench_runs):
         bench_runs["params"]["lmf"], bench_dataset,
         RefineConfig(frames=frames, neighbors=20, **{**BENCH_REFINE, "steps": 120}),
     )
-    preds = {}
-    for t in frames:
-        out = render_frame(wide, bench_dataset.poses[t], t=t, n_samples=64,
-                           workers=2, channels=("mask_ss", "mask_dy"))
-        preds[t] = (out["mask_ss"], out["mask_dy"])
-    wide_map = evaluate(preds, bench_dataset, frames).map_dyn
+    wide_map = evaluate_params(wide, bench_dataset, frames, n_samples=64, workers=2).map_dyn
     base_map = bench_runs["reports"]["tr"].map_dyn
     gain = wide_map - base_map
     flag = "" if gain <= 0.01 else "  [FLAG: exceeds +1 point]"

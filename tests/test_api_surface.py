@@ -2,8 +2,7 @@
 
 Every public module-level function or class in `src/layermotion` must be
 referenced as a name or attribute somewhere in `src/` or `perfbench/`
-(its own definition and docstrings do not count), or be one of the
-library entry points the README documents.
+(its own definition and docstrings do not count).
 """
 
 import ast
@@ -11,9 +10,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "layermotion"
-
-# Documented in the README's "Library entry points" and called by nothing else.
-README_ENTRY_POINTS = {("dataset", "dataset_from_scene")}
 
 
 def referenced_names(paths) -> set[str]:
@@ -36,18 +32,13 @@ def public_definitions():
 
 def test_every_public_definition_is_used_outside_the_tests():
     used = referenced_names(sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")))
-    unused = [
-        f"{module}.{name}"
-        for module, name in public_definitions()
-        if name not in used and (module, name) not in README_ENTRY_POINTS
-    ]
+    unused = [f"{module}.{name}" for module, name in public_definitions() if name not in used]
     assert unused == []
 
 
 def test_the_scan_sees_definitions():
     defs = set(public_definitions())
     assert ("fields", "load_checkpoint") in defs
-    assert README_ENTRY_POINTS <= defs
 
 
 # Settable values: the annotated fields of every `*Config` dataclass, the

@@ -96,7 +96,7 @@ def _const_cameras(n, h, w):
 class TestRenderGroundTruth:
     def test_empty_scene_is_background(self):
         scene = SceneSpec(
-            name="empty", n_frames=2, height=16, width=16, seed=0,
+            n_frames=2, height=16, width=16,
             objects=(), cameras=_const_cameras(2, 16, 16), background=(0.2, 0.4, 0.6),
         )
         gt = render_ground_truth(scene)
@@ -107,7 +107,7 @@ class TestRenderGroundTruth:
         h = w = 32
         center = np.array([0.0, 0.0, -0.5])
         scene = SceneSpec(
-            name="disk", n_frames=2, height=h, width=w, seed=0,
+            n_frames=2, height=h, width=w,
             objects=(
                 SceneObject(
                     primitive=Sphere(center=tuple(center), radius=0.12),
@@ -138,7 +138,7 @@ class TestRenderGroundTruth:
             if swap:
                 a, b = b, a
             return SceneSpec(
-                name="swap", n_frames=4, height=24, width=24, seed=0,
+                n_frames=4, height=24, width=24,
                 objects=(
                     SceneObject(
                         primitive=scenegen.Box(lo=(-0.1, -0.1, -0.1), hi=(0.1, 0.1, 0.1)),

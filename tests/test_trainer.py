@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from layermotion import cli, scenegen
-from layermotion.dataset import dataset_from_scene
+from layermotion.dataset import load_dataset, write_dataset
 from layermotion.errors import ConfigError, DomainError
 from layermotion.fields import init_params
 from layermotion.losses import LossConfig
@@ -23,13 +23,15 @@ from layermotion.trainer import (
 
 
 @pytest.fixture(scope="module")
-def tiny_dataset():
+def tiny_dataset(tmp_path_factory):
     cfg = scenegen.SceneConfig(name="tiny", n_frames=6, height=20, width=20, seed=2,
                                eval_stride=2)
     scene = scenegen.generate_scene(cfg)
     gt = scenegen.render_ground_truth(scene)
     pseudo = scenegen.degrade_to_pseudo_masks(gt, 0.7, 0.003, seed=2)
-    return dataset_from_scene(scene, gt, pseudo, cfg)
+    root = tmp_path_factory.mktemp("tiny") / "dataset"
+    write_dataset(root, scene, gt, pseudo, cfg)
+    return load_dataset(root)
 
 
 TINY_TRAIN = dict(epochs=2, steps_per_epoch=4, rays_per_step=256, n_samples=8,
